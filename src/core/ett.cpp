@@ -53,6 +53,86 @@ bool local_ns(const Node* x) noexcept {
   return x->local_nonspanning.load(std::memory_order_seq_cst) != 0;
 }
 
+// Node::partner tagging: tour nodes are pool cells aligned far beyond 2, so
+// bit 0 is free to say whether the partner is a committed cut's fresh piece
+// root (set) or a link's other root (clear).
+constexpr uintptr_t kCutPartner = 1;
+uintptr_t link_partner(const Node* other) noexcept {
+  return reinterpret_cast<uintptr_t>(other);
+}
+uintptr_t cut_partner(const Node* fresh) noexcept {
+  return reinterpret_cast<uintptr_t>(fresh) | kCutPartner;
+}
+const Node* partner_node(uintptr_t p) noexcept {
+  return reinterpret_cast<const Node*>(p & ~kCutPartner);
+}
+
+/// The vstat of the union of two disjoint components.
+uint64_t combine_vstat(uint64_t a, uint64_t b) noexcept {
+  return Node::pack_vstat(Node::vstat_count(a) + Node::vstat_count(b),
+                          std::min(Node::vstat_min(a), Node::vstat_min(b)));
+}
+
+/// find_root_versioned that, given a ChainRead, records the vertex ids on
+/// the way up and loads the root's vstat before its version. Vertex nodes'
+/// is_vertex/tail are written once at construction, before the node is
+/// published via a release store, so these plain reads are race-free under
+/// the acquire chain + EBR pin.
+RootSnapshot ascend(const Node* start, ChainRead* c) noexcept {
+  if (c == nullptr) return find_root_versioned(start);
+  std::size_t len = 0;
+  const Node* cur = start;
+  for (;;) {
+    if (cur->is_vertex && len < ChainRead::kCap) c->ids[len++] = cur->tail;
+    const Node* p = cur->parent.load(std::memory_order_acquire);
+    if (p == nullptr) break;
+    cur = p;
+  }
+  c->len = len;
+  c->root = cur;
+  c->stat = cur->vstat.load(std::memory_order_acquire);
+  return {cur, cur->version.load(std::memory_order_acquire)};
+}
+
+/// Marks a collected chain as validated against version s.version.
+void seal(ChainRead* c, const RootSnapshot& s) noexcept {
+  if (c != nullptr) c->version = s.version;
+}
+
+/// The value of u's component while a bracket is open on s.root (odd
+/// s.version, u's chain shown twice to end there). The root's live vstat
+/// is transient inside a bracket, so the answer comes from the word frozen
+/// at the bracket's start plus the partner:
+///  * link — merged iff the lower root's parent is set (the linearization
+///    store); then u's component is the union of both frozen words;
+///  * cut — pending (no partner yet, or the fresh piece's chain still ends
+///    here) is the whole pre-cut component; committed, u is in this root's
+///    piece iff a fresh ascent still ends here, and that piece's vstat is
+///    final since the commit.
+/// A final re-read of the version proves the frozen word and partner
+/// belong to this bracket (a later bracket stores them with release only
+/// after this one's even bump). False: retry.
+bool bracket_vstat(const Node* nu, const RootSnapshot& s,
+                   uint64_t* out) noexcept {
+  const Node* r = s.root;
+  uint64_t w = r->frozen.load(std::memory_order_acquire);
+  const uintptr_t p = r->partner.load(std::memory_order_acquire);
+  const Node* q = partner_node(p);
+  if (q != nullptr && (p & kCutPartner) != 0) {
+    if (find_root_versioned(q).root != r) {
+      if (find_root_versioned(nu).root != r) return false;
+      w = r->vstat.load(std::memory_order_acquire);
+    }
+  } else if (q != nullptr) {
+    const Node* lo = node_less(r, q) ? r : q;
+    if (lo->parent.load(std::memory_order_acquire) != nullptr)
+      w = combine_vstat(w, q->frozen.load(std::memory_order_acquire));
+  }
+  if (r->version.load(std::memory_order_acquire) != s.version) return false;
+  *out = w;
+  return true;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -86,32 +166,41 @@ Node* find_root(Node* start) noexcept {
   }
 }
 
-bool connected_nonblocking(const Node* nu, const Node* nv) noexcept {
+bool connected_nonblocking(const Node* nu, const Node* nv, ChainRead* cu,
+                           ChainRead* cv) noexcept {
   auto guard = ebr::pin();
   auto& st = op_stats::local();
   ++st.reads;
   for (;;) {
     const RootSnapshot su = find_root_versioned(nu);
-    const RootSnapshot sv = find_root_versioned(nv);
-    // Has the component of `u` changed?
+    const RootSnapshot sv = ascend(nv, cv);
+    // Has the component of `u` changed? (u's chain is collected on this
+    // re-check, so it lies between two reads of su's version.)
+    if (ascend(nu, cu) != su) {
+      ++st.read_retries;
+      continue;
+    }
+    if (su.root == sv.root) {
+      // One root, and its version repeated around v's ascent (versions only
+      // grow), so v's chain also lies between su's two version reads.
+      seal(cu, su);
+      seal(cv, su);
+      return true;
+    }
+    // Likely different components; re-check that the two roots were
+    // snapshotted atomically. The second re-check of `u` is required —
+    // Appendix A constructs a non-linearizable history without it.
+    if (ascend(nv, cv) != sv) {
+      ++st.read_retries;
+      continue;
+    }
     if (find_root_versioned(nu) != su) {
       ++st.read_retries;
       continue;
     }
-    if (su.root != sv.root) {
-      // Likely different components; re-check that the two roots were
-      // snapshotted atomically. The second re-check of `u` is required —
-      // Appendix A constructs a non-linearizable history without it.
-      if (find_root_versioned(nv) != sv) {
-        ++st.read_retries;
-        continue;
-      }
-      if (find_root_versioned(nu) != su) {
-        ++st.read_retries;
-        continue;
-      }
-    }
-    return su.root == sv.root;
+    seal(cu, su);
+    seal(cv, sv);
+    return false;
   }
 }
 
@@ -328,8 +417,8 @@ bool Forest::connected_writer(Vertex u, Vertex v) {
   return find_root(vertex_node(u)) == find_root(vertex_node(v));
 }
 
-bool Forest::connected(Vertex u, Vertex v) {
-  return connected_nonblocking(vertex_node(u), vertex_node(v));
+bool Forest::connected(Vertex u, Vertex v, ChainRead* cu, ChainRead* cv) {
+  return connected_nonblocking(vertex_node(u), vertex_node(v), cu, cv);
 }
 
 uint32_t Forest::component_vertices(Vertex u) {
@@ -340,23 +429,31 @@ Vertex Forest::representative_writer(Vertex u) {
   return vmn(find_root(vertex_node(u)));
 }
 
-uint64_t Forest::root_vstat_nonblocking(Vertex u) {
+uint64_t Forest::root_vstat_nonblocking(Vertex u, ChainRead* chain) {
   auto guard = ebr::pin();
   const Node* nu = vertex_node(u);
   auto& st = op_stats::local();
   ++st.reads;
   for (;;) {
-    const RootSnapshot s = find_root_versioned(nu);
-    const uint64_t stat = s.root->vstat.load(std::memory_order_acquire);
     // Seqlock double-collect (Listing 1's argument, applied to the root
-    // augmentation): every spanning update bumps the involved root versions
-    // before its first physical store, and the acquire load above pairs
-    // with pull()'s release store (see pull for the weak-ordering
-    // argument), so an unchanged snapshot means the word read belongs to a
-    // consistent state of u's component. A pending two-phase cut keeps
-    // both pieces chained to (and counted at) the old root until its
-    // commit — exactly the not-yet-linearized state.
-    if (find_root_versioned(nu) == s) return stat;
+    // augmentation), with the stat — and the chain, if collected — read
+    // between the two version loads. The acquire load of vstat pairs with
+    // pull()'s release store (see pull for the weak-ordering argument).
+    const RootSnapshot s = find_root_versioned(nu);
+    uint64_t stat =
+        chain ? 0 : s.root->vstat.load(std::memory_order_acquire);
+    if (ascend(nu, chain) == s) {
+      if (chain != nullptr) stat = chain->stat;
+      // Even: no bracket was open on the root, so the word is stable.
+      if ((s.version & 1) == 0) {
+        seal(chain, s);
+        return stat;
+      }
+      // Odd: the bracket's frozen word, not the transient vstat (a pending
+      // cut or a link mid-restructure rewrites the root's vstat with
+      // piece-only values under one unchanged version).
+      if (bracket_vstat(nu, s, &stat)) return stat;
+    }
     ++st.read_retries;
   }
 }
@@ -369,37 +466,56 @@ Vertex Forest::representative_nonblocking(Vertex u) {
   return Node::vstat_min(root_vstat_nonblocking(u));
 }
 
+// Brackets are exclusive per root (the engines hold the component lock), so
+// the bumps are plain load/store pairs, not RMWs.
+void Forest::open_bracket(Node* root, uintptr_t partner) noexcept {
+  // The frozen word and partner go first, so a reader that acquires the odd
+  // version sees them. Release on both: a reader that loads a *later*
+  // bracket's values synchronizes with them and so sees this bracket's even
+  // bump on its version re-read (bracket_vstat).
+  root->frozen.store(root->vstat.load(std::memory_order_relaxed),
+                     std::memory_order_release);
+  root->partner.store(partner, std::memory_order_release);
+  const uint64_t v = root->version.load(std::memory_order_relaxed);
+  assert((v & 1) == 0 && "one bracket per root at a time");
+  root->version.store(v + 1, std::memory_order_release);
+}
+
+void Forest::close_bracket(Node* root) noexcept {
+  const uint64_t v = root->version.load(std::memory_order_relaxed);
+  assert((v & 1) == 1);
+  root->version.store(v + 1, std::memory_order_release);
+}
+
 void Forest::link(Vertex u, Vertex v) {
-  // Label-cache bracket: the merge changes the membership of exactly these
-  // two components, so both their label eras are expired before the first
-  // physical store (begin first — the stamp must count this bracket before
-  // any publisher could observe the invalidations).
-  if (cache_ != nullptr) cache_->begin_update();
   Node* nu = vertex_node(u);
   Node* nv = vertex_node(v);
   Node* ru = find_root(nu);
   Node* rv = find_root(nv);
   assert(ru != rv && "link precondition: different components");
   assert(!has_edge(u, v));
-  if (cache_ != nullptr) {
-    cache_->invalidate(
-        Node::vstat_min(ru->vstat.load(std::memory_order_relaxed)));
-    cache_->invalidate(
-        Node::vstat_min(rv->vstat.load(std::memory_order_relaxed)));
-  }
 
-  // I3: bump both root versions before any physical change. Release: the
-  // bumps only need to be visible to readers that acquire a later physical
-  // store of this update (see set_parent / DESIGN.md §7.3).
-  ru->version.fetch_add(1, std::memory_order_release);
-  rv->version.fetch_add(1, std::memory_order_release);
-
-  // Logical merge (Fig. 2): one store makes the two trees one component for
-  // concurrent readers. The lower-priority root points at the higher one, so
-  // the eventual root (always a vertex node, always the max-priority node of
-  // the union) is `hi`, whose version was just bumped.
+  // The eventual root (always a vertex node, always the max-priority node
+  // of the union) is `hi`; `lo` gets linked under it.
   Node* hi = node_less(ru, rv) ? rv : ru;
   Node* lo = hi == ru ? rv : ru;
+
+  // I3: both roots go odd before any physical change (release: the bumps
+  // only need to be visible to readers that acquire a later physical store
+  // of this update, see set_parent / DESIGN.md §7.3). Then the label-cache
+  // words of both components expire — after the bump, so a publisher that
+  // loads an expired word also sees the odd version and backs off.
+  open_bracket(hi, link_partner(lo));
+  open_bracket(lo, link_partner(hi));
+  if (cache_ != nullptr) {
+    cache_->invalidate(
+        Node::vstat_min(hi->frozen.load(std::memory_order_relaxed)));
+    cache_->invalidate(
+        Node::vstat_min(lo->frozen.load(std::memory_order_relaxed)));
+  }
+
+  // Logical merge (Fig. 2): one store makes the two trees one component for
+  // concurrent readers.
   set_parent(lo, hi);
 
   // Physical restructuring; all stores keep chains rooted at `hi`.
@@ -423,7 +539,10 @@ void Forest::link(Vertex u, Vertex v) {
   (void)t;
   assert(t == hi);
   assert(hi->parent.load(std::memory_order_relaxed) == nullptr);
-  if (cache_ != nullptr) cache_->end_update();
+  // Both even again: hi's vstat is final, and lo's bump ends the bracket
+  // for readers that reached lo as a root before the merge store.
+  close_bracket(hi);
+  close_bracket(lo);
 }
 
 Node* Forest::find_piece_root(Node* x) noexcept {
@@ -436,29 +555,25 @@ Node* Forest::find_piece_root(Node* x) noexcept {
 }
 
 Forest::CutHandle Forest::cut_prepare(Vertex u, Vertex v) {
-  // Label-cache bracket spanning the whole two-phase cut: the root's vstat
-  // transiently holds piece-only values mid-prepare (pull() rewrites it
-  // with no further version bump), so the whole prepare→commit/relink
-  // window must be writer-active; the component's era is expired up front
-  // (the prior word rides in the handle so cut_relink can restore it — a
-  // relink changes nothing). The bracket closes in cut_commit or
-  // cut_relink.
-  if (cache_ != nullptr) cache_->begin_update();
   ArcPair* pair = arcs_.find(Edge(u, v));
   assert(pair != nullptr && "cut precondition: edge in forest");
   Node* a = u <= v ? pair->uv : pair->vu;  // arc u->v
   Node* b = u <= v ? pair->vu : pair->uv;  // arc v->u
 
+  // I3: the bracket spans the whole two-phase cut and closes in cut_commit
+  // or cut_relink. The root's vstat transiently holds piece-only values
+  // from here on, so readers answer from the frozen word; no partner until
+  // the commit names the fresh root. The component's label-cache word
+  // expires after the odd bump (see link()); its prior word rides in the
+  // handle so cut_relink can restore it — a relink changes nothing.
   Node* rt = find_root(a);
+  open_bracket(rt, 0);
   Vertex cache_rep = 0;
   uint64_t cache_word = 0;
   if (cache_ != nullptr) {
-    cache_rep = Node::vstat_min(rt->vstat.load(std::memory_order_relaxed));
+    cache_rep = Node::vstat_min(rt->frozen.load(std::memory_order_relaxed));
     cache_word = cache_->invalidate(cache_rep);
   }
-  // I3: bump the current root's version before any physical change
-  // (release — paired with readers' acquire loads, see link()).
-  rt->version.fetch_add(1, std::memory_order_release);
 
   if (rank_of(a) > rank_of(b)) std::swap(a, b);
 
@@ -499,13 +614,19 @@ Forest::CutHandle Forest::cut_prepare(Vertex u, Vertex v) {
 }
 
 void Forest::cut_commit(CutHandle& h) {
-  // The piece that is not the old root becomes a root now: bump its version
-  // (I3), then the single null store is the linearization point (Fig. 3).
+  // The piece that is not the old root becomes a root now. Name it as the
+  // old root's partner first (readers inside the bracket learn of the
+  // commit through it), give it the next even version — it is born with
+  // its bracket closed and its vstat final, and its version never repeats
+  // one a reader saw while it was last a root (I3) — then the single null
+  // store is the linearization point (Fig. 3). Release on all three: a
+  // reader that acquires the null store sees the rest.
   Node* fresh_root = (h.root_u == h.old_root) ? h.root_v : h.root_u;
   assert(fresh_root != h.old_root);
-  // The version bump must be visible to any reader that acquires the null
-  // store below; release on both gives exactly that (I3 + DESIGN.md §7.3).
-  fresh_root->version.fetch_add(1, std::memory_order_release);
+  h.old_root->partner.store(cut_partner(fresh_root),
+                            std::memory_order_release);
+  const uint64_t fv = fresh_root->version.load(std::memory_order_relaxed);
+  fresh_root->version.store((fv | 1) + 1, std::memory_order_release);
   fresh_root->parent.store(nullptr, std::memory_order_release);
 
   // I4: readers may still be traversing the removed arcs; their stale parent
@@ -517,7 +638,7 @@ void Forest::cut_commit(CutHandle& h) {
   // stale era — its comp_ slot was expired when that representative's own
   // component last changed, and only a reader's validated republish can
   // revive it.
-  if (cache_ != nullptr) cache_->end_update();
+  close_bracket(h.old_root);
 }
 
 void Forest::cut_relink(CutHandle& h, Vertex x, Vertex y) {
@@ -529,10 +650,11 @@ void Forest::cut_relink(CutHandle& h, Vertex x, Vertex y) {
   assert((rx == h.root_u || rx == h.root_v) &&
          (ry == h.root_u || ry == h.root_v));
 
-  // No version/logical-merge protocol here: for readers this entire removal
-  // never changed anything — every intermediate store keeps chains rooted at
+  // No logical-merge protocol here: for readers this entire removal never
+  // changed anything — every intermediate store keeps chains rooted at
   // old_root, and the final structure is again one tree rooted at old_root
   // (it remains the maximum-priority node of the unchanged vertex set).
+  // Readers keep answering from the frozen word until the bracket closes.
   Node* tx = reroot(nx);
   Node* ty = reroot(ny);
 
@@ -558,10 +680,8 @@ void Forest::cut_relink(CutHandle& h, Vertex x, Vertex y) {
   // Membership unchanged: restore the pre-bracket component word, making
   // every label of the old era valid again — the warm-under-churn property
   // the labels section measures.
-  if (cache_ != nullptr) {
-    cache_->revalidate(h.cache_rep, h.cache_word);
-    cache_->end_update();
-  }
+  if (cache_ != nullptr) cache_->revalidate(h.cache_rep, h.cache_word);
+  close_bracket(h.old_root);
 }
 
 void Forest::cut(Vertex u, Vertex v) {

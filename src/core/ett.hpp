@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "core/sharded_map.hpp"
 #include "graph/graph.hpp"
+#include "util/cacheline.hpp"
 #include "util/rw_lock.hpp"
 
 namespace condyn {
@@ -32,9 +34,12 @@ namespace condyn::ett {
 ///                    single linearization store of a split, and the
 ///                    linearization store of a merge is the single store
 ///                    that connects the two sink trees;
-///  I3 (versions)     before a merge/split the writer bumps the versions of
-///                    the involved roots and of the node that will become a
-///                    root, so a version is at most one step ahead;
+///  I3 (versions)     a root's version is odd exactly while a structural
+///                    bracket (link; cut_prepare through cut_commit or
+///                    cut_relink) is open on it: the writer bumps the
+///                    involved roots odd before any physical store and even
+///                    once the bracket's stores are done, and a root born at
+///                    a commit gets the next even value before it unlinks;
 ///  I4 (reclamation)  removed arc nodes keep their stale parent pointers and
 ///                    are retired through EBR, never freed in place.
 struct Node {
@@ -66,6 +71,14 @@ struct Node {
   /// connected() (the version protocol, not store order, carries
   /// consistency; see component_size_nonblocking and DESIGN.md §7.3).
   std::atomic<uint64_t> vstat{kEmptyVstat};
+  /// Bracket state for lock-free value reads, meaningful on a root while its
+  /// version is odd: `frozen` is the root's vstat when the bracket opened,
+  /// `partner` the bracket's other root (tagged: a link's other root, or the
+  /// fresh piece root once a cut commits; 0 while a cut is pending or
+  /// relinking). Readers answer from them instead of the transient vstat
+  /// (DESIGN.md §5.4). Both are stored before the odd bump, with release.
+  std::atomic<uint64_t> frozen{kEmptyVstat};
+  std::atomic<uintptr_t> partner{0};
 
   static constexpr Vertex kNoVertexSentinel = ~Vertex{0};  ///< arc-only subtree
   static constexpr uint64_t kEmptyVstat = kNoVertexSentinel;  // count 0
@@ -98,6 +111,10 @@ struct Node {
   bool is_arc() const noexcept { return !is_vertex; }
 };
 
+// Tour nodes live in a 2-cache-line pool stride (DESIGN.md §7.1); a node
+// that outgrows it silently raises every structure's resident size.
+static_assert(sizeof(Node) <= 2 * kCacheLine, "ett::Node outgrew its stride");
+
 /// Strict total order on (priority, address); "parent must be higher".
 inline bool node_less(const Node* a, const Node* b) noexcept {
   return a->priority != b->priority ? a->priority < b->priority : a < b;
@@ -109,6 +126,21 @@ struct RootSnapshot {
   friend bool operator==(const RootSnapshot&, const RootSnapshot&) = default;
 };
 
+/// The vertex ids met on one parent-chain ascent plus the root's vstat read
+/// at its top: the label cache's unit of publication (DESIGN.md §8.3). A
+/// read that validates it sets `version` to the root version it loaded
+/// both before and after the ids and the stat; only an even one is
+/// publishable (no bracket was open on the root in between).
+struct ChainRead {
+  static constexpr std::size_t kCap = 64;  ///< deeper chains keep a prefix
+  const Node* root = nullptr;
+  uint64_t version = 1;
+  uint64_t stat = 0;
+  std::size_t len = 0;
+  Vertex ids[kCap];
+  bool publishable() const noexcept { return (version & 1) == 0; }
+};
+
 /// Lock-free root search (Listing 1's find_root): follows parent pointers,
 /// returns the sink and its version. Caller must hold an ebr guard.
 RootSnapshot find_root_versioned(const Node* start) noexcept;
@@ -118,8 +150,12 @@ Node* find_root(Node* start) noexcept;
 
 /// Lock-free linearizable connectivity check between two nodes of (possibly)
 /// different forests' trees — Listing 1 verbatim, including the fifth
-/// find_root that Appendix A proves necessary. Pins EBR internally.
-bool connected_nonblocking(const Node* nu, const Node* nv) noexcept;
+/// find_root that Appendix A proves necessary. Pins EBR internally. When
+/// `cu` / `cv` are given, the re-check ascents also collect u's and v's
+/// chains for the label cache, at no extra ascent.
+bool connected_nonblocking(const Node* nu, const Node* nv,
+                           ChainRead* cu = nullptr,
+                           ChainRead* cv = nullptr) noexcept;
 
 /// Lock-free bottom-up flag raising used by non-blocking non-spanning edge
 /// additions (Listing 6's set_flags_up). Caller must hold an ebr guard.
@@ -157,8 +193,10 @@ class Forest {
   bool connected_writer(Vertex u, Vertex v);
 
   /// Lock-free linearizable query (Listing 1); creates the vertex nodes if
-  /// missing (isolated vertices are their own components).
-  bool connected(Vertex u, Vertex v);
+  /// missing (isolated vertices are their own components). Optional chain
+  /// collection as in connected_nonblocking.
+  bool connected(Vertex u, Vertex v, ChainRead* cu = nullptr,
+                 ChainRead* cv = nullptr);
 
   /// Writer: add spanning edge (u,v). Preconditions: u,v in different trees,
   /// (u,v) not in the forest. Performs the atomic merge of Fig. 2.
@@ -206,15 +244,19 @@ class Forest {
   /// representative of the Query API v2.
   Vertex representative_writer(Vertex u);
 
-  /// Lock-free component size: find_root_versioned double-collect around the
-  /// root's vcount load, the same seqlock argument as connected() (Listing
-  /// 1). If the snapshot repeats, no spanning update's version bump became
-  /// visible between the two collects, so the value read belongs to a
-  /// consistent state of u's component. Pins EBR internally.
+  /// Lock-free component size / canonical representative: the root's
+  /// packed vstat under root_vstat_nonblocking's protocol.
   uint64_t component_size_nonblocking(Vertex u);
-
-  /// Lock-free canonical representative (root vmin), same double-collect.
   Vertex representative_nonblocking(Vertex u);
+
+  /// The lock-free value read behind both (DESIGN.md §5.4): a versioned
+  /// double-collect of u's root around its vstat. An even, repeated
+  /// version means no bracket was open on the root, so the word is
+  /// stable; an odd one answers from the bracket's frozen word and
+  /// partner, after the second ascent proved u's chain still ends at that
+  /// root. With `chain`, the second ascent also collects u's chain
+  /// (publishable iff the version was even). Pins EBR internally.
+  uint64_t root_vstat_nonblocking(Vertex u, ChainRead* chain = nullptr);
 
   /// Writer: mark/unmark the (u,v) arc pair as "level arc" (the edge's level
   /// equals this forest's level) and fix subtree flags. Used by the HDT
@@ -241,9 +283,9 @@ class Forest {
   /// (DESIGN.md §8). Only ever set on a level-0 forest, by the owning
   /// facade, before concurrent use begins; when set, every structural
   /// bracket — link(), and cut_prepare() through cut_commit()/cut_relink()
-  /// — notifies the cache so published labels expire exactly when level-0
-  /// component membership changes, and only for the one or two components
-  /// an update touches (a relink restores the word it expired: net zero).
+  /// — expires the cache words of the one or two components it touches,
+  /// right after bumping their roots odd (a relink restores the word it
+  /// expired: net zero).
   void set_label_cache(LabelCache* c) noexcept { cache_ = c; }
 
   /// In-order tour of u's component (testing/debugging).
@@ -277,10 +319,10 @@ class Forest {
   /// Rotate u's tour so it starts at u; returns the (unchanged) root.
   Node* reroot(Node* u_node) noexcept;
 
-  /// The shared seqlock loop behind both non-blocking value queries: the
-  /// root's packed vstat word, validated by an unchanged (root, version)
-  /// snapshot.
-  uint64_t root_vstat_nonblocking(Vertex u);
+  /// Bracket hooks (I3): record the frozen word and partner, then bump odd;
+  /// close bumps even.
+  static void open_bracket(Node* root, uintptr_t partner) noexcept;
+  static void close_bracket(Node* root) noexcept;
 
   Vertex n_;
   int level_;

@@ -5,7 +5,6 @@
 
 #include "core/ett.hpp"
 #include "core/stats.hpp"
-#include "util/ebr.hpp"
 
 namespace condyn {
 
@@ -46,20 +45,6 @@ LabelCache::LabelCache(ett::Forest* forest)
 
 LabelCache::~LabelCache() { forest_->set_label_cache(nullptr); }
 
-void LabelCache::begin_update() noexcept {
-  // One RMW opens the bracket: the begins field (monotone, never
-  // decremented) and the writer count move together, so a publisher
-  // comparing two stamp loads can never miss a bracket that was counted in
-  // one field but not yet the other. seq_cst: the publisher's plain loads
-  // must totally order against these RMWs (the same store-load discipline
-  // as the flag protocol, DESIGN.md §7.3).
-  stamp_.fetch_add(kBeginOne + 1, std::memory_order_seq_cst);
-}
-
-void LabelCache::end_update() noexcept {
-  stamp_.fetch_sub(1, std::memory_order_seq_cst);
-}
-
 uint64_t LabelCache::invalidate(Vertex rep) noexcept {
   // Move comp_[rep]'s version to the next odd value before the component is
   // mutated. This is the whole invalidation story: labels of era v die the
@@ -82,91 +67,58 @@ void LabelCache::revalidate(Vertex rep, uint64_t prior) noexcept {
   // odd value our own invalidate() installed: if any other bracket touched
   // the slot meanwhile, its version moved on and the restore is dropped
   // (the slot stays unstable until a reader republishes — correct, just
-  // colder). No publisher can have interfered: publishes require a
-  // writer-free stamp window and our bracket is still open.
+  // colder). No publisher can have interfered: a publish needs an even
+  // root version, and our bracket still holds the root odd.
   uint64_t expected = pack_word(next_odd(word_ver(prior)), word_value(prior));
   comp_[rep].compare_exchange_strong(expected, prior,
                                      std::memory_order_seq_cst);
 }
 
-uint64_t LabelCache::walk_and_publish(Vertex u) {
-  auto guard = ebr::pin();
-  ett::Node* nu = forest_->vertex_node(u);
-  auto& st = op_stats::local();
-  ++st.reads;
-
-  const uint64_t s1 = stamp_.load(std::memory_order_seq_cst);
-  const bool can_publish = stamp_writers(s1) == 0 && globally_enabled();
-
-  Vertex chain[kChainCap];
-  std::size_t chain_len = 0;
-  uint64_t stat;
-  for (;;) {
-    // Same seqlock double-collect as Forest::root_vstat_nonblocking, with
-    // the vertex ids of u's parent chain collected on the way up. Vertex
-    // nodes' is_vertex/tail are written once at construction, before the
-    // node is published via a release store, so these plain reads are
-    // race-free under the acquire chain + EBR pin.
-    chain_len = 0;
-    const ett::Node* cur = nu;
-    for (;;) {
-      if (cur->is_vertex && chain_len < kChainCap)
-        chain[chain_len++] = cur->tail;
-      const ett::Node* p = cur->parent.load(std::memory_order_acquire);
-      if (p == nullptr) break;
-      cur = p;
-    }
-    const ett::RootSnapshot s{cur,
-                              cur->version.load(std::memory_order_acquire)};
-    stat = cur->vstat.load(std::memory_order_acquire);
-    if (ett::find_root_versioned(nu) == s) break;
-    ++st.read_retries;
-  }
-
-  // Quiescence: writers == 0 at s1 and the stamp unchanged at the re-check
-  // below means no bracket overlapped the walk — none was open at s1 (every
-  // earlier bracket's end RMW precedes the value we read in stamp_'s
-  // modification order, so its mutations are visible), and the monotone
-  // begins bits rule out one that came and went. The walk therefore saw the
-  // stable state of u's component. The comp_ word — the CAS expected value —
-  // must be loaded BEFORE the stamp re-check so it too lies inside the
-  // quiescent window: a bracket opening before the re-check fails the
-  // re-check, and one opening after fails the CAS below, because its
-  // invalidate() moves the version before any physical change. (Loading it
-  // after the re-check would let a bracket land in between and have its
-  // odd invalidation word adopted as expected — the CAS would then install
-  // a fresh era carrying pre-bracket membership while the bracket is still
+void LabelCache::publish(const ett::ChainRead& c) noexcept {
+  if (!c.publishable() || !globally_enabled()) return;
+  // The chain and the stat were read between two reads of one even root
+  // version: no bracket was open on the root, so they describe a stable
+  // state of its component. The comp_ word — the CAS expected value — is
+  // loaded BEFORE re-reading the root version: a bracket whose invalidate
+  // this load observes bumped the root odd first, so the re-read fails
+  // (acquire on the load, release on the bump); a bracket that bumps after
+  // the re-read fails the CAS below via its own invalidate. (Loading it
+  // after the re-read would let a bracket land in between and have its odd
+  // invalidation word adopted as expected — the CAS would then install a
+  // fresh era carrying pre-bracket membership while the bracket is still
   // open, and nothing would ever expire it.)
-  const Vertex rep = ett::Node::vstat_min(stat);
-  const uint32_t count = ett::Node::vstat_count(stat);
-  uint64_t wc = can_publish ? comp_[rep].load(std::memory_order_seq_cst) : 0;
-  if (can_publish && stamp_.load(std::memory_order_seq_cst) == s1) {
-    uint32_t era = 0;
-    if (is_era(word_ver(wc))) {
-      // An era is already live for this component; our quiescent walk must
-      // agree with it (membership cannot have changed since the era began
-      // or the version would have moved). Join it — installing a fresh era
-      // here would needlessly kill every label already published under it.
-      if (word_value(wc) == count) era = word_ver(wc);
-    } else {
-      const uint32_t nv = (word_ver(wc) | 1) + 1;  // next even above
-      if (is_era(nv) &&
-          comp_[rep].compare_exchange_strong(wc, pack_word(nv, count),
-                                             std::memory_order_seq_cst)) {
-        era = nv;
-      }
-    }
-    if (era != 0) {
-      // Label stores strictly after the era exists in comp_: a hit's
-      // acquire load of a label synchronizes with these releases, so the
-      // era it validates against is the one the label was published under.
-      for (std::size_t i = 0; i < chain_len; ++i) {
-        labels_[chain[i]].store(pack_word(era, rep),
-                                std::memory_order_release);
-      }
-      ++st.label_publishes;
+  const Vertex rep = ett::Node::vstat_min(c.stat);
+  const uint32_t count = ett::Node::vstat_count(c.stat);
+  uint64_t wc = comp_[rep].load(std::memory_order_seq_cst);
+  if (c.root->version.load(std::memory_order_acquire) != c.version) return;
+  uint32_t era = 0;
+  if (is_era(word_ver(wc))) {
+    // An era is already live for this component; our stable read must
+    // agree with it (membership cannot have changed since the era began or
+    // the version would have moved). Join it — installing a fresh era here
+    // would needlessly kill every label already published under it.
+    if (word_value(wc) == count) era = word_ver(wc);
+  } else {
+    const uint32_t nv = (word_ver(wc) | 1) + 1;  // next even above
+    if (is_era(nv) &&
+        comp_[rep].compare_exchange_strong(wc, pack_word(nv, count),
+                                           std::memory_order_seq_cst)) {
+      era = nv;
     }
   }
+  if (era == 0) return;
+  // Label stores strictly after the era exists in comp_: a hit's acquire
+  // load of a label synchronizes with these releases, so the era it
+  // validates against is the one the label was published under.
+  for (std::size_t i = 0; i < c.len; ++i)
+    labels_[c.ids[i]].store(pack_word(era, rep), std::memory_order_release);
+  ++op_stats::local().label_publishes;
+}
+
+uint64_t LabelCache::read_and_publish(Vertex u) {
+  ett::ChainRead c;
+  const uint64_t stat = forest_->root_vstat_nonblocking(u, &c);
+  publish(c);
   return stat;
 }
 
@@ -202,13 +154,12 @@ bool LabelCache::connected(Vertex u, Vertex v) {
       return r != 0;
     }
     ++st.label_misses;
-    walk_and_publish(u);
-    walk_and_publish(v);
-    r = try_connected(u, v);
-    if (r >= 0) return r != 0;
-    // Concurrent churn defeated both publishes: the two walks' root
-    // snapshots were taken independently, which Appendix A shows is not
-    // linearizable to compare — answer with Listing 1 instead.
+    // One Listing 1 read answers; its re-check ascents collect both chains.
+    ett::ChainRead cu, cv;
+    const bool c = forest_->connected(u, v, &cu, &cv);
+    publish(cu);
+    publish(cv);
+    return c;
   }
   return forest_->connected(u, v);
 }
@@ -222,14 +173,14 @@ uint64_t LabelCache::component_size(Vertex u) {
           comp_[word_value(wl)].load(std::memory_order_seq_cst);
       if (word_ver(wc) == word_ver(wl)) {
         // Era still live at the comp_ load — the linearization point; the
-        // count was published from a quiescent walk of that era.
+        // count was published from a stable read of that era.
         ++st.label_hits;
         ++st.reads;
         return word_value(wc);
       }
     }
     ++st.label_misses;
-    return ett::Node::vstat_count(walk_and_publish(u));
+    return ett::Node::vstat_count(read_and_publish(u));
   }
   return forest_->component_size_nonblocking(u);
 }
@@ -244,7 +195,7 @@ Vertex LabelCache::representative(Vertex u) {
       return rep;
     }
     ++st.label_misses;
-    return ett::Node::vstat_min(walk_and_publish(u));
+    return ett::Node::vstat_min(read_and_publish(u));
   }
   return forest_->representative_nonblocking(u);
 }
@@ -261,23 +212,27 @@ uint64_t LabelCache::exec_query(const Op& op) {
 bool LabelCache::snapshot_labels(std::vector<Vertex>& out) {
   if (!globally_enabled()) return false;
   out.resize(n_);
+  std::vector<uint32_t> eras(n_);
   for (int attempt = 0; attempt < kSnapshotAttempts; ++attempt) {
-    const uint64_t s = stamp_.load(std::memory_order_seq_cst);
-    if (stamp_writers(s) != 0) continue;
     bool ok = true;
     for (Vertex v = 0; v < n_ && ok; ++v) {
-      uint32_t ver, rep = 0;
+      uint32_t ver = 0, rep = 0;
       if (!load_label(v, &ver, &rep)) {
-        walk_and_publish(v);
+        read_and_publish(v);
         ok = load_label(v, &ver, &rep);
       }
       out[v] = rep;
+      eras[v] = ver;
     }
-    // An unchanged stamp means no bracket overlapped the scan (writer-free
-    // at the start, monotone begins bits since): the forest was quiescent
-    // throughout, so every per-vertex validation happened against one
-    // unchanging membership — a consistent snapshot, linearized here.
-    if (ok && stamp_.load(std::memory_order_seq_cst) == s) return true;
+    // Each label was valid at its own first-pass comp_ load. If every
+    // component word still carries its era on this second pass, each era's
+    // membership held from its validation to its re-read (a slot returns to
+    // an era only via revalidate, which leaves membership unchanged), so all
+    // of them held at once between the two passes: a consistent snapshot,
+    // linearized there.
+    for (Vertex v = 0; v < n_ && ok; ++v)
+      ok = word_ver(comp_[out[v]].load(std::memory_order_seq_cst)) == eras[v];
+    if (ok) return true;
   }
   return false;
 }

@@ -10,7 +10,7 @@
 
 namespace condyn::ett {
 class Forest;
-struct Node;
+struct ChainRead;
 }  // namespace condyn::ett
 
 namespace condyn {
@@ -38,15 +38,12 @@ namespace condyn {
 /// hot at 99% reads while updates churn elsewhere — the crossover the
 /// bench labels section measures.
 ///
-/// Writer protocol (hooked from ett::Forest, level 0 only):
-///  * begin_update(): one fetch_add on the packed stamp (begins:48 in the
-///    high bits, writers:16 in the low) increments both fields atomically;
-///  * invalidate(rep): CAS comp_[rep]'s version to the next odd value,
-///    *before* any physical change to that component — called once per
-///    affected root (two for link, one for a cut);
-///  * end_update(): decrements the writer count (begins stays incremented
-///    forever — the monotone high bits are what make a publisher's
-///    stamp-unchanged check ABA-free);
+/// Writer protocol (hooked from ett::Forest, level 0 only). Validation is
+/// per component, through the level-0 roots' versions, which are odd
+/// exactly while a structural bracket is open on them (ett.hpp, I3):
+///  * invalidate(rep): CAS comp_[rep]'s version to the next odd value right
+///    after the bracket bumps its roots odd and before any physical change
+///    — called once per affected root (two for link, one for a cut);
 ///  * revalidate(rep, prior): cut_relink only — the removal found a
 ///    replacement, membership never changed, so the pre-bracket comp word
 ///    is restored by CAS (expected: the odd value our own invalidate
@@ -54,11 +51,8 @@ namespace condyn {
 ///    the slot; on success every label of the old era is valid again — the
 ///    measured reason spanning churn on well-connected graphs leaves the
 ///    99%-read fast path intact.
-///
-/// The whole cut_prepare→commit/relink window is one bracket because
-/// cut_prepare bumps the old root's version once up front and then
-/// restructures: mid-prepare the root's vstat transiently holds piece-only
-/// values that a concurrent label walk could otherwise publish.
+/// Brackets on disjoint components never touch a shared word, so updates
+/// elsewhere neither slow a publisher down nor stop it.
 ///
 /// Reader side:
 ///  * hit: load labels_[u] = (v, r); the hit is valid iff v is an era and
@@ -72,18 +66,19 @@ namespace condyn {
 ///    membership is unchanged — so an unchanged re-read means the first
 ///    era's membership spanned the second's validation instant, and
 ///    distinct canonical reps at one instant are distinct components.
-///  * miss: walk_and_publish — an EBR-pinned seqlock walk identical in
-///    structure to Forest::root_vstat_nonblocking that additionally
-///    collects the vertex ids on u's parent chain. If the packed stamp is
-///    writer-free and unchanged across the walk (no bracket overlapped: the
-///    begins bits are monotone), the walk saw a quiescent forest; the
-///    component word is then installed by CAS — expected value read inside
-///    the quiescent window, so a bracket sneaking in after the stamp
-///    re-check fails the CAS via its own invalidate bump — and the chain's
-///    labels are stored under the resulting era. Repair is lazy and
-///    amortized across readers: each miss relabels its own O(log n) chain,
-///    so hot components converge after a handful of misses instead of
-///    every update paying O(component).
+///  * miss: the forest's own lock-free read (Listing 1 for connected, the
+///    value read for size / representative) collects the vertex ids of the
+///    queried chains on its re-check ascents and answers; publish() then
+///    installs a chain iff its ids and root stat were read between two
+///    reads of one even root version (no bracket open on that root in
+///    between), loads comp_[rep], re-reads the root version, and CASes the
+///    era in. A bracket that bumps the root after the re-read fails the
+///    CAS via its own invalidate; one whose invalidate the comp_ load
+///    already saw is caught by the re-read, because the odd bump precedes
+///    the invalidate. Repair is lazy and amortized across readers: each
+///    miss relabels its own O(log n) chain, so hot components converge
+///    after a handful of misses instead of every update paying
+///    O(component).
 ///
 /// Versions are 32-bit and wrap; a stale hit would need 2^31 membership
 /// changes of one component between a label store and its use, with the
@@ -91,8 +86,8 @@ namespace condyn {
 /// The wrap skips 0 (the reserved never-hits value) on the invalidate side:
 /// next_odd(0xFFFFFFFF) wraps to 1. On the publish side a slot sitting at
 /// 0xFFFFFFFF computes next-even 0, which is not an era, so no era is
-/// installed and that component stays cold (every query takes the slow
-/// walk) until its next structural update moves the version to 1 —
+/// installed and that component stays cold (every query takes the tree
+/// read) until its next structural update moves the version to 1 —
 /// deliberately: jumping to 2 instead could revive ancient era-2 labels.
 ///
 /// Lifetime: the facade owns the cache and declares it after its engine, so
@@ -106,12 +101,12 @@ class LabelCache {
 
   // --- reader API -----------------------------------------------------------
 
-  /// Linearizable connectivity: label validation on a double hit, otherwise
-  /// publish both chains and retry once, finally Listing 1 (the fallback is
-  /// the existing lock-free read, so a miss is never worse than no cache).
+  /// Linearizable connectivity: label validation on a double hit,
+  /// otherwise one Listing 1 read that answers and collects both chains
+  /// for publishing.
   bool connected(Vertex u, Vertex v);
 
-  /// Component size / canonical representative, same hit-else-walk shape.
+  /// Component size / canonical representative, same hit-else-read shape.
   uint64_t component_size(Vertex u);
   Vertex representative(Vertex u);
 
@@ -120,23 +115,22 @@ class LabelCache {
   uint64_t exec_query(const Op& op);
 
   /// Fill `out` (resized to num_vertices) with a consistent label array:
-  /// every entry validated against its component word under a stamp
-  /// unchanged across the scan (quiescent throughout). Misses are repaired
-  /// in place via walk_and_publish, so a quiescent call both succeeds and
-  /// leaves the cache fully warm. Returns false when concurrent membership
-  /// churn defeats every attempt (or the cache is globally disabled) —
-  /// callers fall back to per-vertex queries.
+  /// a first pass validates every entry against its component word
+  /// (repairing misses in place, so a quiescent call both succeeds and
+  /// leaves the cache fully warm), a second pass re-reads each entry's
+  /// component version — all still unchanged means every era was live at
+  /// once between the passes (the try_connected argument). Returns false
+  /// when concurrent membership churn defeats every attempt (or the cache
+  /// is globally disabled) — callers fall back to per-vertex queries.
   bool snapshot_labels(std::vector<Vertex>& out);
 
   // --- writer hooks (called by ett::Forest on the level-0 structure) --------
 
-  void begin_update() noexcept;
   /// Expire comp_[rep] before mutating its component. Returns the prior
   /// word for a possible revalidate().
   uint64_t invalidate(Vertex rep) noexcept;
   /// cut_relink: membership unchanged — restore the pre-bracket word.
   void revalidate(Vertex rep, uint64_t prior) noexcept;
-  void end_update() noexcept;
 
   // --- switches -------------------------------------------------------------
 
@@ -153,23 +147,7 @@ class LabelCache {
   /// cache at all (default: on). Read once per process.
   static bool env_enabled() noexcept;
 
-  /// Diagnostics (tests): structural brackets opened so far.
-  uint64_t brackets() const noexcept {
-    return stamp_.load(std::memory_order_relaxed) >> kWriterBits;
-  }
-
  private:
-  // stamp_ layout: monotone bracket count in the high 48 bits, active-writer
-  // count in the low 16. begin_update's single fetch_add(kBeginOne + 1)
-  // increments both indivisibly — there is no window where a bracket is
-  // counted in one field but not the other, which is what makes the
-  // publisher's "writer-free and unchanged" check airtight.
-  static constexpr unsigned kWriterBits = 16;
-  static constexpr uint64_t kBeginOne = uint64_t{1} << kWriterBits;
-  static constexpr uint32_t stamp_writers(uint64_t s) noexcept {
-    return static_cast<uint32_t>(s & (kBeginOne - 1));
-  }
-
   static constexpr uint64_t pack_word(uint32_t ver, uint32_t value) noexcept {
     return (static_cast<uint64_t>(ver) << 32) | value;
   }
@@ -185,20 +163,18 @@ class LabelCache {
   }
   /// The next odd version after w's (odd stays odd: a bracket overlapping
   /// an unstable slot still has to move the version, or a publisher whose
-  /// walk predates the bracket could CAS stale data in).
+  /// read predates the bracket could CAS stale data in).
   static constexpr uint32_t next_odd(uint32_t ver) noexcept {
     return (ver & 1) != 0 ? ver + 2 : ver + 1;
   }
 
-  /// Longest parent chain published per miss; deeper chains publish a
-  /// prefix (treap depth is O(log n) w.h.p., so 64 covers any realistic n).
-  static constexpr std::size_t kChainCap = 64;
   static constexpr int kSnapshotAttempts = 8;
 
-  /// The seqlock tree walk behind every miss: returns the validated root
-  /// vstat (the caller's fallback answer) and publishes the chain's labels
-  /// when no writer bracket overlapped the walk.
-  uint64_t walk_and_publish(Vertex u);
+  /// Install a chain collected by a miss's read (see the class comment);
+  /// no-op unless the chain is publishable and the cache enabled.
+  void publish(const ett::ChainRead& c) noexcept;
+  /// A miss on u's value: the forest's lock-free read, then publish.
+  uint64_t read_and_publish(Vertex u);
 
   /// Hit-path label fetch: true iff labels_[i] carries era `*ver` for rep
   /// `*rep` and comp_[*rep] is still at that version.
@@ -218,7 +194,6 @@ class LabelCache {
 
   ett::Forest* forest_;
   Vertex n_;
-  std::atomic<uint64_t> stamp_{0};
   std::unique_ptr<std::atomic<uint64_t>[]> labels_;
   std::unique_ptr<std::atomic<uint64_t>[]> comp_;
 };

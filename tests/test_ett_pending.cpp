@@ -123,12 +123,17 @@ TEST(EttPending, VersionsBumpAcrossPreparedCuts) {
   auto guard = ebr::pin();
   const auto before = ett::find_root_versioned(f.vertex_node(0));
   Forest::CutHandle h = f.cut_prepare(1, 2);
-  // Root version already bumped at prepare (the "at most one step ahead"
-  // protocol): a reader snapshotting now will re-check and retry.
+  // Root version already bumped at prepare, to odd: the bracket is open
+  // until commit (I3's parity rule), which closes it even.
   const auto during = ett::find_root_versioned(f.vertex_node(0));
   EXPECT_EQ(before.root, during.root);
   EXPECT_GT(during.version, before.version);
+  EXPECT_EQ(before.version % 2, 0u);
+  EXPECT_EQ(during.version % 2, 1u);
   f.cut_commit(h);
+  const auto after = ett::find_root_versioned(f.vertex_node(0));
+  EXPECT_EQ(after.version % 2, 0u);
+  EXPECT_GT(after.version, during.version);
 }
 
 }  // namespace

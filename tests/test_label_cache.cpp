@@ -3,9 +3,9 @@
 // under concurrent churn racing the epoch invalidation, across a mid-run
 // force-disable/re-enable of the whole cache — and components() snapshots
 // must equal the DSU oracle on every variant, cache-backed or fallback.
-// This file is part of the TSan CI set: the label walk is the first
-// lock-free reader of the tour nodes' plain is_vertex/tail fields, and the
-// hit path races begin/end brackets by design.
+// This file is part of the TSan CI set: the chain-collecting ascents are
+// lock-free readers of the tour nodes' plain is_vertex/tail fields, and the
+// hit path races structural brackets by design.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -8,13 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/factory.hpp"
+#include "core/ett.hpp"
+#include "core/label_cache.hpp"
+#include "core/nb_hdt.hpp"
+#include "core/stats.hpp"
 #include "query_oracle.hpp"
 #include "util/lock_stats.hpp"
 #include "util/random.hpp"
@@ -267,6 +273,196 @@ TEST(QueryLockFree, ValueReadsNeverAcquireLocksOnNbFamilies) {
     EXPECT_EQ(after.wait_ns, before.wait_ns) << name;
     EXPECT_GT(sink, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Value reads racing structural brackets
+// ---------------------------------------------------------------------------
+
+/// What the racing-read tests drive: updates plus the three reads, with
+/// the label cache's runtime switch at `cache`.
+struct ValueTarget {
+  std::string name;
+  bool cache = true;
+  std::function<void(Vertex, Vertex)> add, remove;
+  std::function<uint64_t(Vertex)> size, rep;
+  std::function<bool(Vertex, Vertex)> connected;
+};
+
+/// NbHdt itself, plus every cache-capable variant with the cache on and
+/// with it switched off (the uncached lock-free value read). The closures
+/// own their structure.
+std::vector<ValueTarget> value_targets(Vertex n) {
+  std::vector<ValueTarget> out;
+  auto hdt = std::make_shared<NbHdt>(n, NbLockMode::kFine);
+  out.push_back({"NbHdt", true,
+                 [hdt](Vertex a, Vertex b) { hdt->add_edge(a, b); },
+                 [hdt](Vertex a, Vertex b) { hdt->remove_edge(a, b); },
+                 [hdt](Vertex u) { return hdt->component_size(u); },
+                 [hdt](Vertex u) -> uint64_t { return hdt->representative(u); },
+                 [hdt](Vertex a, Vertex b) { return hdt->connected(a, b); }});
+  for (const VariantInfo& v : all_variants()) {
+    if (!v.caps.label_cache) continue;
+    for (const bool cache : {true, false}) {
+      std::shared_ptr<DynamicConnectivity> dc = v.make(n, true);
+      out.push_back({std::string(v.name) + (cache ? "/cache" : "/nocache"),
+                     cache,
+                     [dc](Vertex a, Vertex b) { dc->add_edge(a, b); },
+                     [dc](Vertex a, Vertex b) { dc->remove_edge(a, b); },
+                     [dc](Vertex u) { return dc->component_size(u); },
+                     [dc](Vertex u) -> uint64_t {
+                       return dc->representative(u);
+                     },
+                     [dc](Vertex a, Vertex b) { return dc->connected(a, b); }});
+    }
+  }
+  return out;
+}
+
+/// One writer runs `churn` until three readers have each probed kReads
+/// random vertices u: `check` judges size(u) and rep(u) (an error text,
+/// empty when a linearizable read may give the pair), and u must be
+/// connected to `peer(u)`, a vertex that never leaves u's component — a
+/// label published under the wrong representative fails that. Returns the
+/// first errors.
+std::vector<std::string> race_value_reads(
+    const ValueTarget& t, Vertex n,
+    const std::function<void(Xoshiro256&)>& churn,
+    const std::function<Vertex(Vertex, Xoshiro256&)>& peer,
+    const std::function<std::string(Vertex, uint64_t, uint64_t)>& check) {
+  constexpr int kReaders = 3;
+  constexpr int kReads = 20000;
+  LabelCache::set_globally_enabled(t.cache);
+  std::atomic<int> running{kReaders};
+  std::mutex mu;
+  std::vector<std::string> errors;
+  uint64_t bad = 0;
+  std::thread writer([&] {
+    Xoshiro256 rng(17);
+    while (running.load(std::memory_order_acquire) > 0) churn(rng);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256 rng(300 + r);
+      uint64_t local_bad = 0;
+      std::string first;
+      for (int i = 0; i < kReads; ++i) {
+        const Vertex u = static_cast<Vertex>(rng.next_below(n));
+        const uint64_t size = t.size(u);
+        const uint64_t rep = t.rep(u);
+        std::string e = check(u, size, rep);
+        const Vertex w = peer(u, rng);
+        if (e.empty() && !t.connected(u, w))
+          e = "connected(" + std::to_string(u) + ", " + std::to_string(w) +
+              ") = false";
+        if (!e.empty()) {
+          if (first.empty()) first = std::move(e);
+          ++local_bad;
+        }
+      }
+      running.fetch_sub(1, std::memory_order_release);
+      std::lock_guard<std::mutex> g(mu);
+      bad += local_bad;
+      if (!first.empty()) errors.push_back(first);
+    });
+  }
+  for (auto& th : readers) th.join();
+  writer.join();
+  LabelCache::set_globally_enabled(true);
+  if (bad != 0)
+    errors.insert(errors.begin(), t.name + ": " + std::to_string(bad) +
+                                      " wrong answers");
+  return errors;
+}
+
+TEST(ValueReadsUnderBrackets, CycleChurnNeverShowsAPiece) {
+  // A 64-cycle whose edges are removed and re-added one at a time stays one
+  // component throughout: every spanning removal finds a replacement
+  // (cut_prepare, search, cut_relink). Mid-bracket the root's vstat holds
+  // piece-only values under one version; a read must never return them.
+  const Vertex n = 64;
+  for (const ValueTarget& t : value_targets(n)) {
+    for (Vertex v = 0; v < n; ++v) t.add(v, (v + 1) % n);
+    const auto errors = race_value_reads(
+        t, n,
+        [&](Xoshiro256& rng) {
+          const Vertex v = static_cast<Vertex>(rng.next_below(n));
+          t.remove(v, (v + 1) % n);
+          t.add(v, (v + 1) % n);
+        },
+        [&](Vertex, Xoshiro256& rng) {
+          return static_cast<Vertex>(rng.next_below(n));
+        },
+        [](Vertex u, uint64_t size, uint64_t rep) -> std::string {
+          if (size == 64 && rep == 0) return {};
+          return "u " + std::to_string(u) + " size " + std::to_string(size) +
+                 " rep " + std::to_string(rep);
+        });
+    EXPECT_TRUE(errors.empty()) << errors.front();
+  }
+}
+
+TEST(ValueReadsUnderBrackets, BridgeToggleShowsOnlyWholeComponents) {
+  // Two 32-cycles A = [0, 32) and B = [32, 64) joined by a bridge that is
+  // toggled: a link bracket (merge) and a committed cut (split) in turn.
+  // Any size other than 32 or 64, or a representative other than A's 0
+  // (B's is 32 or, when bridged, 0), is a transient word.
+  const Vertex n = 64;
+  const Vertex half = 32;
+  for (const ValueTarget& t : value_targets(n)) {
+    for (Vertex v = 0; v < half; ++v) {
+      t.add(v, (v + 1) % half);
+      t.add(half + v, half + (v + 1) % half);
+    }
+    const auto errors = race_value_reads(
+        t, n,
+        [&](Xoshiro256& rng) {
+          const Vertex a = static_cast<Vertex>(rng.next_below(half));
+          const Vertex b = half + static_cast<Vertex>(rng.next_below(half));
+          t.add(a, b);
+          t.remove(a, b);
+        },
+        [&](Vertex u, Xoshiro256& rng) {
+          return (u / half) * half + static_cast<Vertex>(rng.next_below(half));
+        },
+        [&](Vertex u, uint64_t size, uint64_t rep) -> std::string {
+          const bool rep_ok = u < half ? rep == 0 : (rep == half || rep == 0);
+          if ((size == half || size == n) && rep_ok) return {};
+          return "u " + std::to_string(u) + " size " + std::to_string(size) +
+                 " rep " + std::to_string(rep);
+        });
+    EXPECT_TRUE(errors.empty()) << errors.front();
+  }
+}
+
+TEST(ValueReadsUnderBrackets, PendingCutBlocksOnlyItsOwnComponent) {
+  // Per-component validation: an open bracket on X stops publishes for X
+  // alone. X = path 0-1-2-3, Y = path 4-5-6.
+  ett::Forest f(8);
+  LabelCache cache(&f);
+  for (Vertex v : {0u, 1u, 2u, 4u, 5u}) f.link(v, v + 1);
+  ett::Forest::CutHandle h = f.cut_prepare(1, 2);
+
+  auto& st = op_stats::local();
+  const uint64_t publishes = st.label_publishes;
+  EXPECT_EQ(cache.component_size(6), 3u);  // miss on Y publishes...
+  EXPECT_EQ(st.label_publishes, publishes + 1);
+  const uint64_t hits = st.label_hits;
+  EXPECT_EQ(cache.component_size(6), 3u);  // ...so the next query hits
+  EXPECT_EQ(st.label_hits, hits + 1);
+
+  const uint64_t misses = st.label_misses;
+  EXPECT_EQ(cache.component_size(3), 4u);  // X: the pre-cut size...
+  EXPECT_EQ(cache.representative(3), 0u);
+  EXPECT_EQ(st.label_publishes, publishes + 1);  // ...and nothing published
+  EXPECT_EQ(st.label_misses, misses + 2);
+
+  f.cut_commit(h);
+  EXPECT_EQ(cache.component_size(3), 2u);
+  EXPECT_EQ(cache.representative(3), 2u);
+  EXPECT_EQ(cache.component_size(0), 2u);
+  EXPECT_EQ(cache.component_size(6), 3u);
 }
 
 }  // namespace
