@@ -141,6 +141,10 @@ Hdt::UpdateOutcome Hdt::remove_edge(Vertex u, Vertex v) {
                    ? ru
                    : rv;
     Node* other = (tv == ru) ? rv : ru;
+    // Lazy promotion (DESIGN.md §4.2): with no level-i non-tree edge in the
+    // smaller piece there is nothing to sample or scan, and no non-tree edge
+    // will be promoted that would need tv's tree edges in F_{i+1}.
+    if (!tv->sub_nonspanning.load(std::memory_order_seq_cst)) continue;
     ++st.replacement_searches;
 
     if (sampling_ && sample_replacement(i, tv, other, &repl)) {

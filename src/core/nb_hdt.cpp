@@ -510,8 +510,14 @@ void NbHdt::remove_spanning_edge(const Edge& e, EdgeState st,
     op->detached_root = (h.root_u == h.old_root) ? h.root_v : h.root_u;
     h.old_root->removal_op.store(op, std::memory_order_seq_cst);
 
-    ++op_stats::local().replacement_searches;
-    level0_search(op, LevelSearch{0, tv, other});
+    // Lazy promotion (DESIGN.md §4.2). The flag is read only after the
+    // descriptor is published: an adder raises flags and then loads
+    // removal_op (try_add_non_spanning), so either we see its flag or it
+    // sees the descriptor and proposes or linearizes as non-spanning.
+    if (tv->sub_nonspanning.load(std::memory_order_seq_cst)) {
+      ++op_stats::local().replacement_searches;
+      level0_search(op, LevelSearch{0, tv, other});
+    }
     RemovalOp::Cell* winner = finalize_replacement_search(op);
 
     if (winner != nullptr) {
@@ -568,6 +574,10 @@ bool NbHdt::search_upper_levels(const Edge& removed, int top_level, Edge* out,
     Node* tv =
         Forest::subtree_vertices(ru) <= Forest::subtree_vertices(rv) ? ru : rv;
     Node* other = (tv == ru) ? rv : ru;
+    // Lazy promotion (DESIGN.md §4.2): only level-0 additions are lock-free,
+    // so under our locks a false flag means tv has no level-i non-tree edge
+    // to find, and none to promote that would need tv's tree edges above.
+    if (!tv->sub_nonspanning.load(std::memory_order_seq_cst)) continue;
     ++stats.replacement_searches;
     const LevelSearch ls{i, tv, other};
     if (sampling_ && sample_level(ls, out)) {

@@ -1,6 +1,6 @@
 // Registry entries for the sharded facade family, variants (15)-(16):
 // sharded<inner> over two inner families chosen by capability profile.
-#include <algorithm>
+#include <deque>
 #include <string>
 
 #include "api/registry.hpp"
@@ -37,13 +37,13 @@ VariantCaps sharded_caps() {
 }
 
 /// VariantInfo::name is a const char*; registrations are process-lifetime
-/// singletons, so one intentional leak per sharded variant is fine (the
-/// same lifetime the string literals of the other families have).
-const char* strdup_name(const std::string& s) {
-  char* p = new char[s.size() + 1];
-  std::copy(s.begin(), s.end(), p);
-  p[s.size()] = '\0';
-  return p;
+/// singletons, so the names live in a list that is never freed (the same
+/// lifetime the string literals of the other families have) but stays
+/// reachable, so leak checkers do not report it. A deque never moves its
+/// elements, so each c_str() stays valid.
+const char* intern_name(std::string s) {
+  static auto* names = new std::deque<std::string>;
+  return names->emplace_back(std::move(s)).c_str();
 }
 
 void add_sharded(VariantRegistry& r, const VariantInfo* inner,
@@ -54,7 +54,7 @@ void add_sharded(VariantRegistry& r, const VariantInfo* inner,
   // reserve()d to kReserved, but a by-value capture is immune to that
   // detail outliving this registration pass.
   auto make_inner = inner->make;
-  r.add(strdup_name(name), description, sharded_caps(),
+  r.add(intern_name(name), description, sharded_caps(),
         [name, make_inner](Vertex n, bool sampling) {
           return std::make_unique<ShardedDc>(n, name, make_inner, sampling);
         });

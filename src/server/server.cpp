@@ -134,6 +134,8 @@ void Server::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
   if (::pipe2(stop_pipe_, O_CLOEXEC | O_NONBLOCK) < 0) fail_errno("pipe2");
+  spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  if (spare_fd_ < 0) fail_errno("open /dev/null");
 
   for (unsigned i = 0; i < opts_.threads; ++i) {
     auto w = std::make_unique<Worker>();
@@ -176,6 +178,8 @@ void Server::stop() {
   listen_fd_ = -1;
   ::close(stop_pipe_[0]);
   ::close(stop_pipe_[1]);
+  if (spare_fd_ >= 0) ::close(spare_fd_);
+  spare_fd_ = -1;
   started_ = false;
 }
 
@@ -192,8 +196,15 @@ void Server::acceptor_main() {
       const int fd =
           ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
-        // EAGAIN: accepted everything pending; anything else (EMFILE,
-        // ECONNABORTED) is per-connection — log-free skip, keep serving.
+        // Out of descriptors, the pending connection would keep the listen
+        // fd readable and poll() would return at once, forever: shed it.
+        if (errno == EMFILE || errno == ENFILE) {
+          if (reject_pending()) continue;
+          // No spare to free: wait rather than spin.
+          std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        // EAGAIN: accepted everything pending; anything else (ECONNABORTED)
+        // is per-connection — log-free skip, keep serving.
         break;
       }
       const int one = 1;
@@ -210,6 +221,19 @@ void Server::acceptor_main() {
       (void)!::write(w.wake_fd, &v, sizeof v);
     }
   }
+}
+
+bool Server::reject_pending() {
+  // Free the reserved descriptor, accept the pending connection into it and
+  // close that at once (the client sees EOF), then reserve the spare again.
+  if (spare_fd_ >= 0) ::close(spare_fd_);
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) {
+    ::close(fd);
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+  }
+  spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  return fd >= 0;
 }
 
 void Server::adopt_incoming(Worker& w) {
@@ -609,6 +633,7 @@ ServerStats Server::stats() const {
   ServerStats s;
   s.accepted = accepted_.load(std::memory_order_relaxed);
   s.closed = closed_.load(std::memory_order_relaxed);
+  s.rejected = rejected_.load(std::memory_order_relaxed);
   s.frames = frames_.load(std::memory_order_relaxed);
   s.ops = ops_.load(std::memory_order_relaxed);
   s.inline_reads = inline_reads_.load(std::memory_order_relaxed);

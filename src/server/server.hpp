@@ -52,6 +52,9 @@ ServerOptions env_server_options();
 struct ServerStats {
   uint64_t accepted = 0;      ///< connections accepted
   uint64_t closed = 0;        ///< connections closed (either side)
+  /// Connections accepted and closed at once because the process was out
+  /// of file descriptors (EMFILE/ENFILE); not counted in accepted/closed.
+  uint64_t rejected = 0;
   uint64_t frames = 0;        ///< request frames fully processed
   uint64_t ops = 0;           ///< ops decoded from accepted frames
   uint64_t inline_reads = 0;  ///< pure-read frames served on the worker
@@ -98,6 +101,7 @@ class Server {
   struct Worker;
 
   void acceptor_main();
+  bool reject_pending();
   void worker_main(Worker& w);
   void adopt_incoming(Worker& w);
   void on_readable(Worker& w, Connection& c);
@@ -118,6 +122,9 @@ class Server {
 
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};  ///< wakes the acceptor's poll()
+  /// A reserved descriptor the acceptor frees to accept-and-close a pending
+  /// connection when the process is out of descriptors (reject_pending).
+  int spare_fd_ = -1;
   uint16_t port_ = 0;
   bool started_ = false;
   std::atomic<bool> draining_{false};
@@ -128,9 +135,9 @@ class Server {
 
   std::atomic<std::size_t> buffered_bytes_{0};  ///< byte-budget accounting
 
-  std::atomic<uint64_t> accepted_{0}, closed_{0}, frames_{0}, ops_{0},
-      inline_reads_{0}, shed_frames_{0}, bad_frames_{0}, status_frames_{0},
-      bytes_in_{0}, bytes_out_{0};
+  std::atomic<uint64_t> accepted_{0}, closed_{0}, rejected_{0}, frames_{0},
+      ops_{0}, inline_reads_{0}, shed_frames_{0}, bad_frames_{0},
+      status_frames_{0}, bytes_in_{0}, bytes_out_{0};
 };
 
 }  // namespace condyn::server

@@ -85,9 +85,10 @@ int main() {
     std::printf(
         "condyn_server exit frames=%" PRIu64 " ops=%" PRIu64
         " inline_reads=%" PRIu64 " shed=%" PRIu64 " bad=%" PRIu64
-        " acked=%" PRIu64 " failed=%" PRIu64 " journal_errors=%" PRIu64 "\n",
+        " rejected=%" PRIu64 " acked=%" PRIu64 " failed=%" PRIu64
+        " journal_errors=%" PRIu64 "\n",
         st.frames, st.ops, st.inline_reads, st.shed_frames, st.bad_frames,
-        rep.acked, rep.failed, rep.journal_errors);
+        st.rejected, rep.acked, rep.failed, rep.journal_errors);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "condyn_server: fatal: %s\n", e.what());

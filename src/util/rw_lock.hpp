@@ -19,9 +19,12 @@ class RwSpinLock {
   RwSpinLock& operator=(const RwSpinLock&) = delete;
 
   void lock() noexcept {
+    if (try_lock()) {
+      lock_stats::add_acquisition(false);
+      return;
+    }
     // Announce writer intent so readers stop entering, then wait for them.
     const uint64_t t0 = lock_stats::now_ns();
-    bool waited = false;
     Backoff backoff;
     for (;;) {
       uint32_t s = state_.load(std::memory_order_relaxed);
@@ -30,16 +33,13 @@ class RwSpinLock {
                                        std::memory_order_acquire)) {
         break;
       }
-      waited = true;
       backoff.pause();
     }
     backoff.reset();
-    while ((state_.load(std::memory_order_acquire) & kReaderMask) != 0) {
-      waited = true;
+    while ((state_.load(std::memory_order_acquire) & kReaderMask) != 0)
       backoff.pause();
-    }
-    if (waited) lock_stats::add_wait(lock_stats::now_ns() - t0);
-    lock_stats::add_acquisition(waited);
+    lock_stats::add_wait(lock_stats::now_ns() - t0);
+    lock_stats::add_acquisition(true);
   }
 
   void unlock() noexcept {

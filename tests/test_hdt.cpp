@@ -76,31 +76,49 @@ TEST(Hdt, CascadingReplacementsOnCycleTeardown) {
   }
 }
 
-TEST(Hdt, LevelsRiseUnderChurn) {
-  // Dense small graph: repeated spanning removals must push edges to
-  // higher levels without violating the size invariant.
+// Lazy promotion (DESIGN.md §4.2): a level's push-up runs only when the
+// smaller piece has a non-tree edge of that level to scan.
+
+TEST(Hdt, CutBridgeLiftsCliqueSideTreeAndNonTreeEdges) {
+  // Clique on 0..3 (tree edges 0-1, 0-2, 0-3; non-tree 1-2, 1-3, 2-3),
+  // joined by the bridge 0-4 to the path 4..31.
   const Vertex n = 32;
-  Hdt dc(n);
-  Xoshiro256 rng(5);
-  std::set<Edge> present;
-  for (Vertex a = 0; a < n; ++a)
-    for (Vertex b = a + 1; b < n; b += 1 + a % 3) {
+  Hdt dc(n, /*sampling=*/false);
+  std::vector<Edge> clique;
+  for (Vertex a = 0; a < 4; ++a)
+    for (Vertex b = a + 1; b < 4; ++b) {
       dc.add_edge(a, b);
-      present.insert(Edge(a, b));
+      clique.emplace_back(a, b);
     }
-  int max_seen_level = 0;
-  for (int round = 0; round < 500 && !present.empty(); ++round) {
-    auto it = present.begin();
-    std::advance(it, rng.next_below(present.size()));
-    Edge e = *it;
-    present.erase(it);
-    dc.remove_edge(e.u, e.v);
-    if (round % 100 == 0) dc.check_invariants();
-    for (const Edge& f : present)
-      max_seen_level = std::max(max_seen_level, dc.edge_level(f.u, f.v));
+  for (Vertex v = 4; v + 1 < n; ++v) dc.add_edge(v, v + 1);
+  dc.add_edge(0, 4);
+  ASSERT_TRUE(dc.is_spanning(0, 4));
+
+  EXPECT_TRUE(dc.remove_edge(0, 4).performed);
+  EXPECT_FALSE(dc.connected(0, 4));
+  for (const Edge& e : clique)
+    EXPECT_EQ(dc.edge_level(e.u, e.v), 1) << e.u << "-" << e.v;
+  for (Vertex v = 4; v + 1 < n; ++v) EXPECT_EQ(dc.edge_level(v, v + 1), 0);
+  dc.check_invariants();
+}
+
+TEST(Hdt, CutBridgeWithTreeSideKeepsEveryLevelZero) {
+  // Star 0..3 (a tree) bridged by 0-4 to the ring 4..31, whose non-tree
+  // edge lives only in the larger piece. Each cut skips level 0.
+  const Vertex n = 32;
+  Hdt dc(n, /*sampling=*/false);
+  std::vector<Edge> edges;
+  for (Vertex v = 1; v < 4; ++v) edges.emplace_back(0, v);
+  for (Vertex v = 4; v < n; ++v) edges.emplace_back(v, v + 1 < n ? v + 1 : 4);
+  for (const Edge& e : edges) dc.add_edge(e.u, e.v);
+  for (int round = 0; round < 8; ++round) {
+    ASSERT_TRUE(dc.add_edge(0, 4).spanning);
+    EXPECT_TRUE(dc.remove_edge(0, 4).performed);
+    EXPECT_FALSE(dc.connected(0, 4));
+    for (const Edge& e : edges)
+      EXPECT_EQ(dc.edge_level(e.u, e.v), 0) << e.u << "-" << e.v;
+    dc.check_invariants();
   }
-  EXPECT_GT(max_seen_level, 0) << "churn never promoted any edge";
-  EXPECT_LE(max_seen_level, dc.max_level());
 }
 
 // ---------------------------------------------------------------------------

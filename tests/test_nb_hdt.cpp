@@ -3,8 +3,10 @@
 // introspection, invariant preservation under churn.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -126,6 +128,134 @@ TEST_P(NbHdtModes, LevelsRiseUnderChurnWithinBounds) {
   for (Vertex a = 0; a < n; ++a)
     for (Vertex b = a + 1; b < n; b += 3)
       EXPECT_EQ(dc.connected(a, b), cc.label[a] == cc.label[b]);
+}
+
+// Lazy promotion (DESIGN.md §4.2): a level's push-up runs only when the
+// smaller piece has a non-tree edge of that level to scan.
+
+TEST_P(NbHdtModes, CutBridgeLiftsCliqueSideTreeAndNonTreeEdges) {
+  // Clique on 0..3 (tree edges 0-1, 0-2, 0-3; non-tree 1-2, 1-3, 2-3),
+  // joined by the bridge 0-4 to the path 4..31.
+  const Vertex n = 32;
+  NbHdt dc(n, GetParam().mode, /*sampling=*/false);
+  std::vector<Edge> clique;
+  for (Vertex a = 0; a < 4; ++a)
+    for (Vertex b = a + 1; b < 4; ++b) {
+      dc.add_edge(a, b);
+      clique.emplace_back(a, b);
+    }
+  for (Vertex v = 4; v + 1 < n; ++v) dc.add_edge(v, v + 1);
+  dc.add_edge(0, 4);
+  ASSERT_TRUE(dc.is_spanning(0, 4));
+
+  EXPECT_TRUE(dc.remove_edge(0, 4));
+  EXPECT_FALSE(dc.connected(0, 4));
+  for (const Edge& e : clique)
+    EXPECT_EQ(dc.edge_level(e.u, e.v), 1) << e.u << "-" << e.v;
+  for (Vertex v = 4; v + 1 < n; ++v) EXPECT_EQ(dc.edge_level(v, v + 1), 0);
+  dc.check_invariants();
+}
+
+TEST_P(NbHdtModes, CutBridgeWithTreeSideKeepsEveryLevelZero) {
+  // Star 0..3 (a tree) bridged by 0-4 to the ring 4..31, whose non-tree
+  // edge lives only in the larger piece. Each cut skips level 0.
+  const Vertex n = 32;
+  NbHdt dc(n, GetParam().mode, /*sampling=*/false);
+  std::vector<Edge> edges;
+  for (Vertex v = 1; v < 4; ++v) edges.emplace_back(0, v);
+  for (Vertex v = 4; v < n; ++v) edges.emplace_back(v, v + 1 < n ? v + 1 : 4);
+  for (const Edge& e : edges) dc.add_edge(e.u, e.v);
+  for (int round = 0; round < 8; ++round) {
+    ASSERT_TRUE(dc.add_edge(0, 4));
+    ASSERT_TRUE(dc.is_spanning(0, 4));
+    EXPECT_TRUE(dc.remove_edge(0, 4));
+    EXPECT_FALSE(dc.connected(0, 4));
+    for (const Edge& e : edges)
+      EXPECT_EQ(dc.edge_level(e.u, e.v), 0) << e.u << "-" << e.v;
+    dc.check_invariants();
+  }
+}
+
+TEST_P(NbHdtModes, SkippedLevelZeroSearchRacesNonBlockingAdds) {
+  // Each round cuts the bridge 2-3 between the path 0-1-2 (the smaller
+  // piece, no non-tree edge, so the level-0 search is skipped unless an
+  // adder's flag raise is seen first) and the ring 3..15, while two threads
+  // add without blocking: the crossing edge 0-9, which must end spanning
+  // (the replacement, or a plain link after the cut), and the chord 5-12
+  // inside the ring, which must end as a level-0 non-spanning edge. The
+  // main thread reads concurrently: once 0-9's addition has returned, 0 and
+  // 9 must read connected until the round ends.
+  const Vertex n = 16;
+  const Edge bridge(2, 3), cross(0, 9), chord(5, 12);
+  NbHdt dc(n, GetParam().mode);
+  std::vector<Edge> fixed{{0, 1}, {1, 2}};
+  for (Vertex v = 3; v < n; ++v) fixed.emplace_back(v, v + 1 < n ? v + 1 : 3);
+  for (const Edge& e : fixed) dc.add_edge(e.u, e.v);
+  dc.add_edge(bridge.u, bridge.v);
+
+  constexpr int kRounds = 4000;
+  std::atomic<int> round{-1};
+  std::atomic<int> finished{0};
+  std::atomic<bool> cross_added{false};
+  std::atomic<int> failed_ops{0};
+  auto worker = [&](uint64_t seed, auto&& op) {
+    Xoshiro256 rng(seed);
+    for (int r = 0; r < kRounds; ++r) {
+      while (round.load(std::memory_order_acquire) < r)
+        std::this_thread::yield();
+      // A random head start sweeps the three operations across each other.
+      for (uint64_t spin = rng.next_below(256); spin > 0; --spin)
+        std::atomic_signal_fence(std::memory_order_seq_cst);
+      if (!op()) failed_ops.fetch_add(1);
+      finished.fetch_add(1, std::memory_order_acq_rel);
+    }
+  };
+  std::thread cutter(worker, 1, [&] { return dc.remove_edge(bridge.u, bridge.v); });
+  std::thread crosser(worker, 2, [&] {
+    const bool ok = dc.add_edge(cross.u, cross.v);
+    cross_added.store(true, std::memory_order_release);
+    return ok;
+  });
+  std::thread chorder(worker, 3, [&] {
+    return dc.add_edge(chord.u, chord.v);
+  });
+
+  int mismatches = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    finished.store(0, std::memory_order_relaxed);
+    cross_added.store(false, std::memory_order_relaxed);
+    round.store(r, std::memory_order_release);
+    while (finished.load(std::memory_order_acquire) < 3) {
+      const bool after_add = cross_added.load(std::memory_order_acquire);
+      if (after_add && !dc.connected(cross.u, cross.v)) ++mismatches;
+      if (!dc.connected(0, 1) || !dc.connected(chord.u, chord.v))
+        ++mismatches;
+      std::this_thread::yield();  // let descheduled workers in on a busy host
+    }
+    // Quiescent: the graph is the fixed edges plus 0-9 and 5-12.
+    EXPECT_TRUE(dc.is_spanning(cross.u, cross.v)) << "round " << r;
+    EXPECT_EQ(dc.edge_level(cross.u, cross.v), 0) << "round " << r;
+    EXPECT_TRUE(dc.has_edge(chord.u, chord.v)) << "round " << r;
+    EXPECT_FALSE(dc.is_spanning(chord.u, chord.v)) << "round " << r;
+    EXPECT_EQ(dc.edge_level(chord.u, chord.v), 0) << "round " << r;
+    Dsu oracle(n);
+    for (const Edge& e : fixed) oracle.unite(e.u, e.v);
+    oracle.unite(cross.u, cross.v);
+    oracle.unite(chord.u, chord.v);
+    for (Vertex a = 0; a < n; ++a)
+      for (Vertex b = a + 1; b < n; ++b)
+        if (dc.connected(a, b) != oracle.connected(a, b)) ++mismatches;
+    dc.check_invariants();
+    // Restore the bridge for the next round.
+    ASSERT_TRUE(dc.remove_edge(cross.u, cross.v));
+    ASSERT_TRUE(dc.remove_edge(chord.u, chord.v));
+    ASSERT_TRUE(dc.add_edge(bridge.u, bridge.v));
+  }
+  cutter.join();
+  crosser.join();
+  chorder.join();
+  EXPECT_EQ(failed_ops.load(), 0);
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST_P(NbHdtModes, RandomizedOracleAgreement) {

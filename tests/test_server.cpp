@@ -4,13 +4,28 @@
 // malformed byte streams, deterministic overload shedding (applier parked
 // via pause(), so admission control — not timing — decides), status probes,
 // the graceful stop() drain (no acknowledged op is lost, in-flight frames
-// are answered), and concurrent multi-client churn — the last runs under the
-// CI TSan job to check the cross-thread handoffs, not just the answers.
+// are answered), concurrent multi-client churn — which runs under the CI
+// TSan job to check the cross-thread handoffs, not just the answers — and
+// descriptor exhaustion (a forked server under a low RLIMIT_NOFILE closes
+// the excess clients and stays idle).
+#include <arpa/inet.h>
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <memory>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -364,6 +379,194 @@ TEST(Server, ConcurrentMultiClientChurn) {
   const server::ServerStats st = stack.srv->stats();
   EXPECT_EQ(st.accepted, static_cast<uint64_t>(kClients));
   EXPECT_EQ(st.bad_frames, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Descriptor exhaustion: a server out of fds must shed, not spin
+// ---------------------------------------------------------------------------
+
+/// Reads exactly n bytes, giving up after timeout_ms without progress.
+bool read_exact(int fd, void* buf, std::size_t n, int timeout_ms) {
+  auto* p = static_cast<char*>(buf);
+  while (n > 0) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
+    const ssize_t r = ::read(fd, p, n);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) return false;
+    p += r;
+    n -= static_cast<std::size_t>(r);
+  }
+  return true;
+}
+
+/// Lowers RLIMIT_NOFILE so that exactly `free_slots` more descriptors fit.
+bool leave_free_descriptors(int free_slots) {
+  std::set<int> open_fds;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return false;
+  while (const dirent* ent = ::readdir(dir)) {
+    if (ent->d_name[0] != '.') open_fds.insert(std::atoi(ent->d_name));
+  }
+  open_fds.erase(::dirfd(dir));
+  ::closedir(dir);
+  rlim_t limit = 0;
+  for (int free_seen = 0; free_seen < free_slots; ++limit) {
+    if (open_fds.count(static_cast<int>(limit)) == 0) ++free_seen;
+  }
+  rlimit rl{};
+  if (::getrlimit(RLIMIT_NOFILE, &rl) != 0) return false;
+  rl.rlim_cur = limit;
+  return ::setrlimit(RLIMIT_NOFILE, &rl) == 0;
+}
+
+struct StarvedReport {
+  uint64_t accepted = 0;
+  uint64_t rejected = 0;
+  int64_t cpu_us = 0;     ///< process CPU (user + system) over the window
+  int64_t window_us = 0;  ///< wall time of the window
+};
+
+int64_t cpu_us_now() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1000000LL +
+         ru.ru_utime.tv_usec + ru.ru_stime.tv_usec;
+}
+
+/// Child side: a server with `free_slots` descriptors to spare reports its
+/// port, waits for the parent's clients, then measures its own CPU use over
+/// an idle window while the spare slots are all held by clients. The ingest
+/// applier, which polls its ring while running, is parked for the window so
+/// that the process CPU is the acceptor's and the workers' alone.
+[[noreturn]] void run_starved_server(int to_parent, int from_parent,
+                                     int free_slots) {
+  int code = 1;
+  try {
+    Stack stack(64);
+    char byte = 0;
+    if (leave_free_descriptors(free_slots)) {
+      const uint16_t port = stack.port();
+      if (::write(to_parent, &port, sizeof port) == sizeof port &&
+          read_exact(from_parent, &byte, 1, 30000)) {
+        StarvedReport rep;
+        stack.svc->pause();
+        const auto t0 = std::chrono::steady_clock::now();
+        const int64_t c0 = cpu_us_now();
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        rep.cpu_us = cpu_us_now() - c0;
+        rep.window_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+        stack.svc->resume();
+        const server::ServerStats st = stack.srv->stats();
+        rep.accepted = st.accepted;
+        rep.rejected = st.rejected;
+        if (::write(to_parent, &rep, sizeof rep) == sizeof rep &&
+            read_exact(from_parent, &byte, 1, 30000)) {
+          code = 0;
+        }
+      }
+    }
+  } catch (const std::exception&) {
+  }
+  ::_exit(code);
+}
+
+/// A raw loopback connection, for clients the server is expected to close.
+int raw_connect(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, kHost, &addr.sin_addr);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// True if the peer closes the connection within timeout_ms.
+bool closed_by_peer(int fd, int timeout_ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  if (::poll(&pfd, 1, timeout_ms) <= 0) return false;
+  char byte = 0;
+  return ::read(fd, &byte, 1) <= 0;  // EOF or reset
+}
+
+TEST(Server, DescriptorExhaustionClosesExcessClientsWithoutSpinning) {
+  // The server runs in a forked child whose RLIMIT_NOFILE leaves room for
+  // kServed connections. Past that, accept4 fails with EMFILE while the
+  // pending connection keeps the listen fd readable; the acceptor must
+  // accept-and-close it through its spare descriptor instead of polling
+  // in a loop.
+  constexpr int kServed = 3;
+  constexpr int kExcess = 5;
+  int up[2] = {-1, -1};
+  int down[2] = {-1, -1};
+  ASSERT_EQ(::pipe(up), 0);
+  ASSERT_EQ(::pipe(down), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(up[0]);
+    ::close(down[1]);
+    run_starved_server(up[1], down[0], kServed);
+  }
+  ::close(up[1]);
+  ::close(down[0]);
+  auto* const old_sigpipe = std::signal(SIGPIPE, SIG_IGN);
+
+  uint16_t port = 0;
+  bool ok = read_exact(up[0], &port, sizeof port, 30000);
+  EXPECT_TRUE(ok) << "child server did not start";
+  std::vector<std::unique_ptr<BlockingClient>> served;
+  int excess_closed = 0;
+  StarvedReport rep;
+  if (ok) {
+    for (int i = 0; i < kServed; ++i) {
+      auto cli = std::make_unique<BlockingClient>();
+      cli->connect(kHost, port);
+      EXPECT_EQ(cli->call({{Op::connected(0, 1)}}).status, Status::kOk);
+      served.push_back(std::move(cli));
+    }
+    for (int i = 0; i < kExcess; ++i) {
+      const int fd = raw_connect(port);
+      if (fd >= 0 && closed_by_peer(fd, 10000)) ++excess_closed;
+      if (fd >= 0) ::close(fd);
+    }
+    const char go = 1;
+    ok = ::write(down[1], &go, 1) == 1 &&
+         read_exact(up[0], &rep, sizeof rep, 30000);
+    EXPECT_TRUE(ok) << "child server did not report";
+    served.clear();
+    (void)!::write(down[1], &go, 1);
+  }
+  int status = 0;
+  for (int waited_ms = 0; ::waitpid(pid, &status, WNOHANG) == 0;
+       waited_ms += 10) {
+    if (waited_ms >= 30000) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::signal(SIGPIPE, old_sigpipe);
+  ::close(up[0]);
+  ::close(down[1]);
+
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  EXPECT_EQ(excess_closed, kExcess);
+  EXPECT_EQ(rep.accepted, static_cast<uint64_t>(kServed));
+  EXPECT_EQ(rep.rejected, static_cast<uint64_t>(kExcess));
+  // Near idle: a spinning acceptor burns a whole core over the window.
+  EXPECT_GT(rep.window_us, 0);
+  EXPECT_LT(rep.cpu_us * 10, rep.window_us)
+      << "server used " << rep.cpu_us << " us CPU in a " << rep.window_us
+      << " us idle window";
 }
 
 }  // namespace

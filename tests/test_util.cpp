@@ -201,8 +201,9 @@ TEST(ElisionLock, MutualExclusionWithOrWithoutRtm) {
   EXPECT_EQ(ElisionLock::htm_available(), ElisionLock::htm_available());
 }
 
-TEST(LockStats, ContendedWaitIsRecorded) {
-  SpinLock mu;
+template <typename Lock>
+void expect_only_contended_wait_recorded() {
+  Lock mu;
   lock_stats::reset_local();
   mu.lock();
   std::atomic<bool> about_to_lock{false};
@@ -223,8 +224,15 @@ TEST(LockStats, ContendedWaitIsRecorded) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   mu.unlock();
   waiter.join();
-  // The uncontended acquisition on this thread recorded no wait.
+  // The uncontended acquisition on this thread took the fast path.
   EXPECT_EQ(lock_stats::local().wait_ns, 0u);
+  EXPECT_EQ(lock_stats::local().acquisitions, 1u);
+  EXPECT_EQ(lock_stats::local().contended, 0u);
+}
+
+TEST(LockStats, ContendedWaitIsRecorded) {
+  expect_only_contended_wait_recorded<SpinLock>();
+  expect_only_contended_wait_recorded<RwSpinLock>();
 }
 
 // --------------------------------------------------------------------------
