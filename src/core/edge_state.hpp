@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 
 #include "core/sharded_map.hpp"
 #include "graph/graph.hpp"
@@ -80,36 +79,14 @@ struct EdgeTrace {
 /// and never destroyed until the owning map dies, so any thread may hold the
 /// pointer and CAS freely (Listing 5's `states` ConcurrentHashMap).
 ///
-/// Memory-order scheme (DESIGN.md §7.3): by default every access is
-/// seq_cst — the CASes are the linearization points of the edge state
-/// machine, and the plain store/load pairs take part in the Dekker-style
-/// publication between `sub_nonspanning` witnesses and removal flaggers.
-/// With DC_EDGE_FENCE=1 the plain store becomes release + an explicit
-/// `atomic_thread_fence(seq_cst)` and the plain load drops to acquire;
-/// the fence after the store keeps the store↔load Dekker pair in the SC
-/// total order (the fence orders the store before any later load on the
-/// storing thread, which is the property the seq_cst store bought), while
-/// the acquire load sheds the x86 `mfence`-equivalent the compiler would
-/// otherwise attach to a seq_cst load on weaker ISAs. CASes stay seq_cst
-/// under both settings. Flipped at process start only; see §7.3 for the
-/// measured A/B delta.
+/// Memory-order scheme (DESIGN.md §7.3): every access is seq_cst — the
+/// CASes are the linearization points of the edge state machine, and the
+/// plain store/load pairs take part in the Dekker-style publication between
+/// `sub_nonspanning` witnesses and removal flaggers.
 struct EdgeStateCell {
   std::atomic<uint64_t> word{0};
 
-  /// DC_EDGE_FENCE=1 selects the fence-based store/load pair. Read once;
-  /// callers hit a predictable branch thereafter.
-  static bool fence_mode() noexcept {
-    static const bool on = [] {
-      const char* s = std::getenv("DC_EDGE_FENCE");
-      return s != nullptr && s[0] == '1';
-    }();
-    return on;
-  }
-
   EdgeState load() const noexcept {
-    if (fence_mode()) {
-      return EdgeState(word.load(std::memory_order_acquire));
-    }
     return EdgeState(word.load(std::memory_order_seq_cst));
   }
   /// CAS expected → desired; on failure `expected` is refreshed.
@@ -132,11 +109,6 @@ struct EdgeStateCell {
 #else
     (void)site;
 #endif
-    if (fence_mode()) {
-      word.store(s.word(), std::memory_order_release);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      return;
-    }
     word.store(s.word(), std::memory_order_seq_cst);
   }
 

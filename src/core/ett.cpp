@@ -94,6 +94,32 @@ RootSnapshot ascend(const Node* start, ChainRead* c) noexcept {
   return {cur, cur->version.load(std::memory_order_acquire)};
 }
 
+/// Writer: every vertex id of the tour under x (the caller bounds their
+/// number by ChainRead::kCap).
+void collect_ids(const Node* x, ChainRead* c) noexcept {
+  if (x == nullptr) return;
+  collect_ids(x->left, c);
+  if (x->is_vertex) c->ids[c->len++] = x->tail;
+  collect_ids(x->right, c);
+}
+
+/// Writer relabel read (DESIGN.md §8.2): the whole component under `root`,
+/// with the root's vstat and current version, if it has at most
+/// ChainRead::kCap vertices; otherwise an unpublishable chain. The caller
+/// is the component's exclusive writer with no bracket open on `root`, so
+/// the read is one stable state under one even version — what publish()
+/// asks of a reader's chain.
+ChainRead read_component(const Node* root) noexcept {
+  ChainRead c;
+  const uint64_t stat = root->vstat.load(std::memory_order_relaxed);
+  if (Node::vstat_count(stat) > ChainRead::kCap) return c;
+  c.root = root;
+  c.stat = stat;
+  c.version = root->version.load(std::memory_order_relaxed);
+  collect_ids(root, &c);
+  return c;
+}
+
 /// Marks a collected chain as validated against version s.version.
 void seal(ChainRead* c, const RootSnapshot& s) noexcept {
   if (c != nullptr) c->version = s.version;
@@ -507,11 +533,13 @@ void Forest::link(Vertex u, Vertex v) {
   // loads an expired word also sees the odd version and backs off.
   open_bracket(hi, link_partner(lo));
   open_bracket(lo, link_partner(hi));
+  bool relabel = false;
   if (cache_ != nullptr) {
-    cache_->invalidate(
+    const uint64_t wh = cache_->invalidate(
         Node::vstat_min(hi->frozen.load(std::memory_order_relaxed)));
-    cache_->invalidate(
+    const uint64_t wl = cache_->invalidate(
         Node::vstat_min(lo->frozen.load(std::memory_order_relaxed)));
+    relabel = LabelCache::was_live(wh) || LabelCache::was_live(wl);
   }
 
   // Logical merge (Fig. 2): one store makes the two trees one component for
@@ -543,6 +571,9 @@ void Forest::link(Vertex u, Vertex v) {
   // for readers that reached lo as a root before the merge store.
   close_bracket(hi);
   close_bracket(lo);
+  // Writer relabel (§8.2): one side was warm, and we still hold the union
+  // exclusively, so publish it whole if it is small.
+  if (relabel) cache_->publish(read_component(hi));
 }
 
 Node* Forest::find_piece_root(Node* x) noexcept {
@@ -627,6 +658,13 @@ void Forest::cut_commit(CutHandle& h) {
                             std::memory_order_release);
   const uint64_t fv = fresh_root->version.load(std::memory_order_relaxed);
   fresh_root->version.store((fv | 1) + 1, std::memory_order_release);
+  // Writer relabel (§8.2) of a warm component: the fresh piece is read
+  // here, under its birth version, because the unlink below is also what
+  // lets another writer lock it (ComponentGuard) and restructure it.
+  const bool relabel =
+      cache_ != nullptr && LabelCache::was_live(h.cache_word);
+  ChainRead fresh;
+  if (relabel) fresh = read_component(fresh_root);
   fresh_root->parent.store(nullptr, std::memory_order_release);
 
   // I4: readers may still be traversing the removed arcs; their stale parent
@@ -636,9 +674,16 @@ void Forest::cut_commit(CutHandle& h) {
   // The split expires only the old component's era (invalidated at
   // prepare); the piece that gained a new representative cannot alias a
   // stale era — its comp_ slot was expired when that representative's own
-  // component last changed, and only a reader's validated republish can
-  // revive it.
+  // component last changed, and only a validated republish can revive it.
   close_bracket(h.old_root);
+  if (relabel) {
+    // The fresh piece is published only now, with its root's version
+    // re-read by publish(): a writer that locked it since then has bumped
+    // that version and the publish backs off. The old root's piece is
+    // still ours.
+    cache_->publish(fresh);
+    cache_->publish(read_component(h.old_root));
+  }
 }
 
 void Forest::cut_relink(CutHandle& h, Vertex x, Vertex y) {

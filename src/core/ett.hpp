@@ -130,7 +130,9 @@ struct RootSnapshot {
 /// at its top: the label cache's unit of publication (DESIGN.md §8.3). A
 /// read that validates it sets `version` to the root version it loaded
 /// both before and after the ids and the stat; only an even one is
-/// publishable (no bracket was open on the root in between).
+/// publishable (no bracket was open on the root in between). A writer that
+/// closes a bracket may instead fill it with every vertex of a component
+/// of at most kCap vertices and its root's even version (§8.2).
 struct ChainRead {
   static constexpr std::size_t kCap = 64;  ///< deeper chains keep a prefix
   const Node* root = nullptr;
@@ -285,7 +287,9 @@ class Forest {
   /// bracket — link(), and cut_prepare() through cut_commit()/cut_relink()
   /// — expires the cache words of the one or two components it touches,
   /// right after bumping their roots odd (a relink restores the word it
-  /// expired: net zero).
+  /// expired: net zero). A link or commit that expired a live era then
+  /// republishes each resulting component of at most ChainRead::kCap
+  /// vertices itself (§8.2).
   void set_label_cache(LabelCache* c) noexcept { cache_ = c; }
 
   /// In-order tour of u's component (testing/debugging).

@@ -77,7 +77,8 @@ void LabelCache::revalidate(Vertex rep, uint64_t prior) noexcept {
 void LabelCache::publish(const ett::ChainRead& c) noexcept {
   if (!c.publishable() || !globally_enabled()) return;
   // The chain and the stat were read between two reads of one even root
-  // version: no bracket was open on the root, so they describe a stable
+  // version (or by the component's writer, exclusive, after its bracket
+  // closed): no bracket was open on the root, so they describe a stable
   // state of its component. The comp_ word — the CAS expected value — is
   // loaded BEFORE re-reading the root version: a bracket whose invalidate
   // this load observes bumped the root odd first, so the re-read fails

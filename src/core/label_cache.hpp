@@ -51,6 +51,12 @@ namespace condyn {
 ///    the slot; on success every label of the old era is valid again — the
 ///    measured reason spanning churn on well-connected graphs leaves the
 ///    99%-read fast path intact.
+///  * writer relabel: when a link or cut_commit closes its bracket and one
+///    of the words its invalidate() calls returned was a live era, the
+///    writer, still exclusive, reads each resulting component of at most
+///    ChainRead::kCap vertices whole and publishes it like a reader's
+///    chain. A component some reader warmed stays warm through churn; a
+///    never-read one (prefill, cold regions) costs nothing extra.
 /// Brackets on disjoint components never touch a shared word, so updates
 /// elsewhere neither slow a publisher down nor stop it.
 ///
@@ -75,10 +81,10 @@ namespace condyn {
 ///    era in. A bracket that bumps the root after the re-read fails the
 ///    CAS via its own invalidate; one whose invalidate the comp_ load
 ///    already saw is caught by the re-read, because the odd bump precedes
-///    the invalidate. Repair is lazy and amortized across readers: each
-///    miss relabels its own O(log n) chain, so hot components converge
-///    after a handful of misses instead of every update paying
-///    O(component).
+///    the invalidate. Beyond the writer relabel of small components, repair
+///    is lazy and amortized across readers: each miss relabels its own
+///    O(log n) chain, so hot large components converge after a handful of
+///    misses instead of every update paying O(component).
 ///
 /// Versions are 32-bit and wrap; a stale hit would need 2^31 membership
 /// changes of one component between a label store and its use, with the
@@ -131,6 +137,16 @@ class LabelCache {
   uint64_t invalidate(Vertex rep) noexcept;
   /// cut_relink: membership unchanged — restore the pre-bracket word.
   void revalidate(Vertex rep, uint64_t prior) noexcept;
+  /// True iff `prior` (a word invalidate() returned) was a live era: the
+  /// component was published since its last change, so its writer
+  /// relabels the result.
+  static constexpr bool was_live(uint64_t prior) noexcept {
+    return is_era(word_ver(prior));
+  }
+  /// Install a chain collected by a miss's read, or a whole small component
+  /// read by its writer after the bracket closed (see the class comment);
+  /// no-op unless the chain is publishable and the cache enabled.
+  void publish(const ett::ChainRead& c) noexcept;
 
   // --- switches -------------------------------------------------------------
 
@@ -170,9 +186,6 @@ class LabelCache {
 
   static constexpr int kSnapshotAttempts = 8;
 
-  /// Install a chain collected by a miss's read (see the class comment);
-  /// no-op unless the chain is publishable and the cache enabled.
-  void publish(const ett::ChainRead& c) noexcept;
   /// A miss on u's value: the forest's lock-free read, then publish.
   uint64_t read_and_publish(Vertex u);
 

@@ -27,7 +27,7 @@ struct Counters {
   uint64_t sampling_hits = 0;         ///< replacement found on the sampling fast path
   uint64_t label_hits = 0;            ///< label-cache O(1) answers (DESIGN.md §8)
   uint64_t label_misses = 0;          ///< label-cache fallbacks to the tree walk
-  uint64_t label_publishes = 0;       ///< chains published by label-cache misses
+  uint64_t label_publishes = 0;       ///< miss chains + writer relabels published
   uint64_t shard_cross_updates = 0;   ///< boundary-layer edge updates (§10)
   uint64_t shard_boundary_queries = 0;  ///< queries that consulted the index
   uint64_t shard_index_rebuilds = 0;    ///< boundary index rebuilds

@@ -64,6 +64,9 @@ TEST(Workload, RandomOpStreamHonorsReadPercent) {
         case OpKind::kRemove:
           ++removes;
           break;
+        default:
+          ADD_FAILURE() << "unexpected op kind "
+                        << static_cast<int>(op.kind);
       }
       EXPECT_NE(op.u, op.v);
     }

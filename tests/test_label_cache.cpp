@@ -1,8 +1,9 @@
 // Label-cache coverage (DESIGN.md §8): cached reads must be
 // oracle-identical to the tree-walk reads they shortcut — sequentially,
 // under concurrent churn racing the epoch invalidation, across a mid-run
-// force-disable/re-enable of the whole cache — and components() snapshots
-// must equal the DSU oracle on every variant, cache-backed or fallback.
+// force-disable/re-enable of the whole cache, and under several writers
+// relabelling small components (§8.2) — and components() snapshots must
+// equal the DSU oracle on every variant, cache-backed or fallback.
 // This file is part of the TSan CI set: the chain-collecting ascents are
 // lock-free readers of the tour nodes' plain is_vertex/tail fields, and the
 // hit path races structural brackets by design.
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "api/factory.hpp"
+#include "core/ett.hpp"
 #include "core/label_cache.hpp"
+#include "core/stats.hpp"
 #include "graph/dsu.hpp"
 #include "query_oracle.hpp"
 #include "util/random.hpp"
@@ -256,6 +259,162 @@ TEST(LabelCacheConcurrent, BatchedReadsThroughTheCacheStayExact) {
     for (unsigned w = 0; w < kWorkers; ++w) {
       EXPECT_TRUE(errors[w].empty()) << "variant " << id << " worker " << w
                                      << ": " << errors[w].front();
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Writer relabel (DESIGN.md §8.2): a link or commit that expired a live era
+// republishes each small resulting component itself
+// ---------------------------------------------------------------------------
+
+/// Queries every vertex in [lo, hi) once through the cache and counts the
+/// hits; each answer must be `size` / `rep`.
+int first_query_hits(LabelCache& cache, Vertex lo, Vertex hi, uint64_t size,
+                     Vertex rep) {
+  auto& st = op_stats::local();
+  int hits = 0;
+  for (Vertex x = lo; x < hi; ++x) {
+    const uint64_t before = st.label_hits;
+    EXPECT_EQ(cache.component_size(x), size) << "vertex " << x;
+    hits += st.label_hits != before ? 1 : 0;
+    EXPECT_EQ(cache.representative(x), rep) << "vertex " << x;
+  }
+  return hits;
+}
+
+TEST(LabelCacheWriterRelabel, WarmComponentStaysWarmThroughCutAndLink) {
+  // Path 0-1-2-3-4-5, warmed by a single read: the read publishes the era,
+  // so the cut that splits it and the link that joins the pieces again both
+  // republish their results, and no vertex misses afterwards.
+  ett::Forest f(8);
+  LabelCache cache(&f);
+  for (Vertex x = 0; x < 5; ++x) f.link(x, x + 1);
+  EXPECT_EQ(cache.component_size(5), 6u);
+
+  f.cut(2, 3);
+  EXPECT_EQ(first_query_hits(cache, 0, 3, 3, 0), 3);
+  EXPECT_EQ(first_query_hits(cache, 3, 6, 3, 3), 3);
+
+  f.link(0, 5);
+  EXPECT_EQ(first_query_hits(cache, 0, 6, 6, 0), 6);
+  auto& st = op_stats::local();
+  const uint64_t hits = st.label_hits;
+  EXPECT_TRUE(cache.connected(2, 4));
+  EXPECT_FALSE(cache.connected(1, 7));  // 7 was never published: a miss
+  EXPECT_EQ(st.label_hits, hits + 1);
+}
+
+TEST(LabelCacheWriterRelabel, NeverReadComponentPublishesNothing) {
+  ett::Forest f(8);
+  LabelCache cache(&f);
+  auto& st = op_stats::local();
+  const uint64_t publishes = st.label_publishes;
+  for (Vertex x = 0; x < 5; ++x) f.link(x, x + 1);
+  f.cut(2, 3);
+  f.link(0, 5);
+  EXPECT_EQ(st.label_publishes, publishes);
+  // Still cold: the first query misses (and publishes its own chain).
+  EXPECT_EQ(first_query_hits(cache, 3, 4, 6, 0), 0);
+  EXPECT_EQ(st.label_publishes, publishes + 1);
+}
+
+TEST(LabelCacheWriterRelabel, ComponentAboveTheChainCapStaysLazy) {
+  // A warm path of ChainRead::kCap vertices grows to kCap + 1 by a link:
+  // too large to read whole, so the writer publishes nothing and the next
+  // query misses.
+  const Vertex kCap = ett::ChainRead::kCap;
+  ett::Forest f(kCap + 1);
+  LabelCache cache(&f);
+  for (Vertex x = 0; x + 1 < kCap; ++x) f.link(x, x + 1);
+  EXPECT_EQ(cache.component_size(kCap - 1), kCap);
+  auto& st = op_stats::local();
+  const uint64_t publishes = st.label_publishes;
+  f.link(kCap - 1, kCap);
+  EXPECT_EQ(st.label_publishes, publishes);
+  EXPECT_EQ(first_query_hits(cache, kCap, kCap + 1, kCap + 1, 0), 0);
+}
+
+TEST(LabelCacheConcurrent, StripedWritersOnASmallComponentGridMatchTheOracle) {
+  // Writer relabel under several writers: each owns a stripe of a grid's
+  // edges and toggles them at about 40% density (below bond percolation,
+  // so most components are small enough to relabel), while readers keep
+  // every component warm. A cut's fresh piece becomes lockable by the other
+  // writers at its unlink, so a relabel read made after that store races
+  // their restructuring (TSan) or publishes a changed piece; the final
+  // quiescent sweep, answered from the cache, must equal the DSU oracle.
+  const Vertex kSide = 12;
+  const Vertex n = kSide * kSide;
+  std::vector<Edge> grid;
+  for (Vertex r = 0; r < kSide; ++r) {
+    for (Vertex c = 0; c < kSide; ++c) {
+      const Vertex x = r * kSide + c;
+      if (c + 1 < kSide) grid.emplace_back(x, x + 1);
+      if (r + 1 < kSide) grid.emplace_back(x, x + kSide);
+    }
+  }
+  const unsigned kWriters = 4;
+  const unsigned kReaders = 2;
+  const int kUpdates = 3000;
+  for (int id : cache_variant_ids()) {
+    auto dc = make_variant(id, n);
+    std::vector<std::vector<char>> present(kWriters);
+    std::atomic<unsigned> writing{kWriters};
+    std::vector<std::string> errors(kReaders);
+    std::vector<std::thread> threads;
+    for (unsigned w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        std::vector<Edge> mine;
+        for (std::size_t i = w; i < grid.size(); i += kWriters)
+          mine.push_back(grid[i]);
+        present[w].assign(mine.size(), 0);
+        Xoshiro256 rng(9100 + w);
+        for (int i = 0; i < kUpdates; ++i) {
+          const std::size_t k = rng.next_below(mine.size());
+          const bool want = rng.next_below(10) < 4;
+          if (want == (present[w][k] != 0)) continue;
+          const bool done = want ? dc->add_edge(mine[k].u, mine[k].v)
+                                 : dc->remove_edge(mine[k].u, mine[k].v);
+          EXPECT_TRUE(done) << "variant " << id;
+          present[w][k] = want ? 1 : 0;
+        }
+        writing.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    for (unsigned r = 0; r < kReaders; ++r) {
+      threads.emplace_back([&, r] {
+        Xoshiro256 rng(9200 + r);
+        while (writing.load(std::memory_order_acquire) != 0) {
+          const Vertex a = static_cast<Vertex>(rng.next_below(n));
+          const Vertex b = static_cast<Vertex>(rng.next_below(n));
+          const uint64_t size = dc->component_size(a);
+          const Vertex rep = dc->representative(a);
+          dc->connected(a, b);
+          if ((size == 0 || size > n || rep > a) && errors[r].empty()) {
+            errors[r] = "vertex " + std::to_string(a) + " size " +
+                        std::to_string(size) + " rep " + std::to_string(rep);
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (unsigned r = 0; r < kReaders; ++r)
+      EXPECT_TRUE(errors[r].empty()) << "variant " << id << ": " << errors[r];
+
+    Dsu dsu(n);
+    for (unsigned w = 0; w < kWriters; ++w) {
+      for (std::size_t i = w, k = 0; i < grid.size(); i += kWriters, ++k)
+        if (present[w][k] != 0) dsu.unite(grid[i].u, grid[i].v);
+    }
+    for (Vertex x = 0; x < n; ++x) {
+      ASSERT_EQ(dc->representative(x), dsu.representative(x))
+          << "variant " << id << " vertex " << x;
+      ASSERT_EQ(dc->component_size(x), dsu.component_size(x))
+          << "variant " << id << " vertex " << x;
+    }
+    for (const Edge& e : grid) {
+      ASSERT_EQ(dc->connected(e.u, e.v), dsu.connected(e.u, e.v))
+          << "variant " << id << " edge " << e.u << "-" << e.v;
     }
   }
 }
