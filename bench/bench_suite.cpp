@@ -25,6 +25,8 @@
 #include <cstring>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_set>
 
@@ -60,6 +62,15 @@ RunConfig base_config(const EnvConfig& env) {
   cfg.run_length = env.run_length;
   cfg.shard_skew = env.shard_skew;
   return cfg;
+}
+
+/// A built-in scenario's registry entry, for the sections that run one by
+/// name.
+const ScenarioInfo& builtin(const char* name) {
+  const ScenarioInfo* s = harness::find_scenario(name);
+  if (s == nullptr)
+    throw std::logic_error(std::string("built-in scenario missing: ") + name);
+  return *s;
 }
 
 /// The scenarios this invocation can run: DC_BENCH_SCENARIOS if set,
@@ -447,14 +458,16 @@ void stats_section(const EnvConfig& env, JsonReport& json) {
     auto rnd = make_variant(9, g.num_vertices());
     const ComponentInfo cc = connected_components(
         g.num_vertices(), harness::random_half(g, env.seed));
-    row("random", harness::run_random(*rnd, g, cfg),
+    row("random", harness::run_scenario(builtin("random"), *rnd, g, cfg),
         100.0 * cc.largest_component / g.num_vertices());
 
     auto inc = make_variant(9, g.num_vertices());
-    row("incremental", harness::run_incremental(*inc, g, cfg), -1);
+    row("incremental",
+        harness::run_scenario(builtin("incremental"), *inc, g, cfg), -1);
 
     auto dec = make_variant(9, g.num_vertices());
-    row("decremental", harness::run_decremental(*dec, g, cfg), -1);
+    row("decremental",
+        harness::run_scenario(builtin("decremental"), *dec, g, cfg), -1);
   }
   table.print();
 }
@@ -471,7 +484,7 @@ void retries_section(const EnvConfig& env, JsonReport& json) {
       RunConfig cfg = base_config(env);
       cfg.threads = threads;
       cfg.read_percent = read_pct;
-      const RunResult r = harness::run_random(*dc, g, cfg);
+      const RunResult r = harness::run_scenario(builtin("random"), *dc, g, cfg);
       const auto& c = r.op_counters;
       const double first_try =
           c.reads ? 100.0 * (1.0 - static_cast<double>(c.read_retries) /
@@ -508,7 +521,8 @@ void ablation_section(const EnvConfig& env, JsonReport& json) {
         auto dc = make_variant(id, g.num_vertices(), sampling);
         RunConfig cfg = base_config(env);
         cfg.threads = threads;
-        const RunResult r = harness::run_decremental(*dc, g, cfg);
+        const RunResult r =
+            harness::run_scenario(builtin("decremental"), *dc, g, cfg);
         (sampling ? with_s : without_s) = r.ops_per_ms;
       }
       table.add_row({g.name, bench::variant_label(id),
@@ -552,7 +566,7 @@ void memory_section(const EnvConfig& env, JsonReport& json) {
       // across runs (earlier rows' slabs get *reused* by later rows), so
       // each row reports its own growth, not the cumulative footprint.
       const uint64_t resident_before = pool_stats::resident_bytes();
-      const RunResult r = harness::run_random(*dc, g, cfg);
+      const RunResult r = harness::run_scenario(builtin("random"), *dc, g, cfg);
       const uint64_t resident_after = pool_stats::resident_bytes();
       const uint64_t resident_delta =
           resident_after > resident_before ? resident_after - resident_before
@@ -923,7 +937,7 @@ void calibration_record(JsonReport& json) {
   // By name, not id: the record's label and the measured variant must never
   // drift apart if the registry is ever reordered.
   auto dc = make_variant("coarse", g.num_vertices());
-  const RunResult r = harness::run_random(*dc, g, cfg);
+  const RunResult r = harness::run_scenario(builtin("random"), *dc, g, cfg);
   std::printf("# calibration (coarse, 1 thread, fixed config): %.1f ops/ms\n",
               r.ops_per_ms);
   json.add_record()
@@ -971,7 +985,8 @@ void dsu_section(const EnvConfig& env, JsonReport& json) {
       RunConfig cfg = base_config(env);
       cfg.threads = threads;
       DsuDc dsu(g.num_vertices());
-      const RunResult r = harness::run_incremental(dsu, g, cfg);
+      const RunResult r =
+          harness::run_scenario(builtin("incremental"), dsu, g, cfg);
       report.add_point("dsu", threads, r.ops_per_ms);
       json.add_record()
           .field("section", "dsu")
@@ -981,7 +996,8 @@ void dsu_section(const EnvConfig& env, JsonReport& json) {
           .field("ops_per_ms", r.ops_per_ms);
       for (int id : bench::variant_set(env, {1, 9})) {
         auto dc = make_variant(id, g.num_vertices());
-        const RunResult rv = harness::run_incremental(*dc, g, cfg);
+        const RunResult rv =
+            harness::run_scenario(builtin("incremental"), *dc, g, cfg);
         report.add_point(bench::variant_label(id), threads, rv.ops_per_ms);
         json.add_record()
             .field("section", "dsu")

@@ -34,12 +34,13 @@ int main() {
               trace.ops.size(), scenario->name, trace.num_vertices);
 
   // 2. Round-trip through the on-disk format, as a cross-machine trace
-  //    would. save_trace_file writes the compressed DCTR v2 wire format;
-  //    --info-style stats show what delta+varint buys over v1's 9 bytes/op.
+  //    would. save_trace_file writes the compressed DCTR v3 format;
+  //    --info-style stats show what delta+varint buys over a fixed 9-byte
+  //    op (kind, u, v) — the uncompressed layout DCTR v1 used.
   const std::string path = "example_trace.bin";
   io::save_trace_file(trace, path);
   const io::TraceFileInfo info = io::trace_info_file(path);
-  std::printf("saved as DCTR v%u: %.2f bytes/op (v1 would be 9.00)\n",
+  std::printf("saved as DCTR v%u: %.2f bytes/op (9.00 uncompressed)\n",
               info.version, info.bytes_per_op);
   const io::Trace loaded = io::load_trace_file(path);
   std::remove(path.c_str());
@@ -68,20 +69,20 @@ int main() {
   }
 
   // 4. Value queries replay identically too: synthesize a size-query-heavy
-  //    mix (trace_convert --reads 70 --size-queries does the same), which
-  //    upgrades the trace to DCTR v3, and compare the raw values — the
+  //    mix (trace_convert --reads 70 --size-queries does the same) and
+  //    compare the raw values — the
   //    representative is canonical (smallest member id), so even it must
   //    agree across variants.
   const io::Trace mixed = io::synthesize_reads(loaded, 70, true, 11);
-  const std::string v3path = "example_trace_v3.bin";
-  io::save_trace_file(mixed, v3path, io::preferred_format(mixed));
-  const io::TraceFileInfo v3info = io::trace_info_file(v3path);
-  std::remove(v3path.c_str());
+  const std::string mixed_path = "example_trace_mixed.bin";
+  io::save_trace_file(mixed, mixed_path);
+  const io::TraceFileInfo mixed_info = io::trace_info_file(mixed_path);
+  std::remove(mixed_path.c_str());
   std::printf("synthesized 70%%-read mix: DCTR v%u, %llu size + %llu "
               "representative queries\n",
-              v3info.version,
-              static_cast<unsigned long long>(v3info.size_queries),
-              static_cast<unsigned long long>(v3info.rep_queries));
+              mixed_info.version,
+              static_cast<unsigned long long>(mixed_info.size_queries),
+              static_cast<unsigned long long>(mixed_info.rep_queries));
   auto coarse2 = make_variant("coarse", mixed.num_vertices);
   auto full2 = make_variant("full", mixed.num_vertices);
   if (harness::replay_trace(*coarse2, mixed.ops) !=

@@ -25,28 +25,33 @@ ctest --test-dir build --output-on-failure -j "$jobs"
 # submit, recovery, oracle verification (DESIGN.md §11).
 ./build/example_ingest_service demo
 
-# trace_convert on the checked-in sample: <= 3 bytes/op in v2, byte-stable
-# v1<->v2 recompress round trip, strict --info decode of the golden traces.
+# trace_convert on the checked-in sample: <= 3 bytes/op in v3; the v1 and
+# v2 goldens (the same ops) recompress to identical v3 bytes, and
+# recompressing that output again is byte-stable; strict --info decode of
+# the golden traces.
 sample_trace="$(mktemp /tmp/check-sample.XXXXXX.dctr)"
-sample_v1="$(mktemp /tmp/check-sample-v1.XXXXXX.dctr)"
-sample_rt="$(mktemp /tmp/check-sample-rt.XXXXXX.dctr)"
+from_v1="$(mktemp /tmp/check-from-v1.XXXXXX.dctr)"
+from_v2="$(mktemp /tmp/check-from-v2.XXXXXX.dctr)"
+from_v3="$(mktemp /tmp/check-from-v3.XXXXXX.dctr)"
 trace="$(mktemp /tmp/check-trace.XXXXXX.bin)"
 json="$(mktemp /tmp/check-bench.XXXXXX.json)"
-trap 'rm -f "$sample_trace" "$sample_v1" "$sample_rt" "$trace" "$json"' EXIT
+trap 'rm -f "$sample_trace" "$from_v1" "$from_v2" "$from_v3" "$trace" "$json"' EXIT
 ./build/trace_convert convert data/sample_temporal.txt "$sample_trace" \
   --dedup --window 150 --queries 5 | tee /dev/stderr |
   awk '/bytes\/op/ { seen = 1; if ($2 + 0 > 3.0) { print "bytes/op " $2 " > 3"; exit 1 } }
        END { if (!seen) { print "no bytes/op line in trace_convert output"; exit 1 } }'
-./build/trace_convert recompress "$sample_trace" "$sample_v1" --v1 > /dev/null
-./build/trace_convert recompress "$sample_v1" "$sample_rt" > /dev/null
-cmp "$sample_trace" "$sample_rt"
+./build/trace_convert recompress tests/data/golden_v1.dctr "$from_v1" > /dev/null
+./build/trace_convert recompress tests/data/golden_v2.dctr "$from_v2" > /dev/null
+cmp "$from_v1" "$from_v2"
+./build/trace_convert recompress "$from_v1" "$from_v3" > /dev/null
+cmp "$from_v1" "$from_v3"
 ./build/trace_convert info tests/data/golden_v1.dctr > /dev/null
 ./build/trace_convert info tests/data/golden_v2.dctr > /dev/null
 ./build/trace_convert info tests/data/golden_v3.dctr | grep -q "version:      3"
 # --reads synthesis with size queries must emit a valid v3 trace.
 sample_reads="$(mktemp /tmp/check-sample-reads.XXXXXX.dctr)"
 snap_trace="$(mktemp /tmp/check-snap.XXXXXX.dctr)"
-trap 'rm -f "$sample_trace" "$sample_v1" "$sample_rt" "$sample_reads" "$snap_trace" "$trace" "$json"' EXIT
+trap 'rm -f "$sample_trace" "$from_v1" "$from_v2" "$from_v3" "$sample_reads" "$snap_trace" "$trace" "$json"' EXIT
 ./build/trace_convert recompress "$sample_trace" "$sample_reads" \
   --reads 80 --size-queries | grep -q "version:      3"
 ./build/trace_convert info "$sample_reads" > /dev/null

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "graph/codec.hpp"
 #include "util/random.hpp"
 
 namespace condyn::io {
@@ -103,284 +104,95 @@ Graph load_auto(const std::string& path) {
   return load_snap_file(path);
 }
 
-namespace {
-
-void write_u32(std::ostream& out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(b, 4);
-}
-
-void write_u64(std::ostream& out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.write(b, 8);
-}
-
-uint32_t read_u32(std::istream& in) {
-  unsigned char b[4];
-  if (!in.read(reinterpret_cast<char*>(b), 4)) fail("truncated trace");
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-uint64_t read_u64(std::istream& in) {
-  unsigned char b[8];
-  if (!in.read(reinterpret_cast<char*>(b), 8)) fail("truncated trace");
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-// --- varint / zigzag primitives of the v2 payload ---------------------------
-
-uint64_t zigzag_encode(int64_t v) noexcept {
-  return (static_cast<uint64_t>(v) << 1) ^
-         static_cast<uint64_t>(v >> 63);  // arithmetic shift: all-ones if <0
-}
-
-int64_t zigzag_decode(uint64_t z) noexcept {
-  return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
-}
-
-void write_varint(std::ostream& out, uint64_t v) {
-  char buf[10];
-  int n = 0;
-  while (v >= 0x80) {
-    buf[n++] = static_cast<char>((v & 0x7f) | 0x80);
-    v >>= 7;
-  }
-  buf[n++] = static_cast<char>(v);
-  out.write(buf, n);
-}
-
-/// Strict LEB128 read: EOF mid-varint and >10-byte runs both throw (a u64
-/// needs at most 10 groups of 7 bits; an 11th continuation byte means the
-/// payload is garbage, not a longer number).
-uint64_t read_varint(std::istream& in) {
-  uint64_t v = 0;
-  for (int shift = 0; shift < 70; shift += 7) {
-    char c;
-    if (!in.read(&c, 1)) fail("truncated trace (varint cut mid-op)");
-    const auto byte = static_cast<unsigned char>(c);
-    if (shift == 63 && (byte & 0x7e) != 0)
-      fail("corrupt trace: varint overflows 64 bits");
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return v;
-  }
-  fail("corrupt trace: varint longer than 10 bytes");
-}
-
-/// Re-derive a vertex from the previous value plus a zigzag delta, checking
-/// that the result is a valid vertex of the declared universe. The sum is
-/// taken in uint64 — wraparound is defined there, and every out-of-range
-/// true sum (negative, or past INT64_MAX from a crafted 10-byte varint)
-/// wraps to a value >= 2^32 > num_vertices, so one range check rejects them
-/// all without signed-overflow UB.
-Vertex apply_delta(Vertex base, int64_t delta, Vertex num_vertices,
-                   const char* which) {
-  const uint64_t v = base + static_cast<uint64_t>(delta);
-  if (v >= num_vertices)
-    fail(std::string("corrupt trace: ") + which +
-         " delta lands outside [0, " + std::to_string(num_vertices) + ")");
-  return static_cast<Vertex>(v);
-}
-
-/// v1/v2 carry a <= 2 kind field; a trace holding the Query-API-v2 value
-/// kinds must be written as v3 instead of silently corrupting the payload.
-void reject_value_kinds(const Trace& t, const char* version) {
-  for (const Op& op : t.ops) {
-    if (static_cast<uint8_t>(op.kind) > 2)
-      fail(std::string("trace contains value-query ops (kind ") +
-           std::to_string(static_cast<int>(op.kind)) + "), which the " +
-           version + " format cannot represent; write v3 "
-           "(io::preferred_format)");
-  }
-}
-
-void save_trace_v1(const Trace& t, std::ostream& out) {
-  reject_value_kinds(t, "v1");
-  out.write(kTraceMagic, 4);
-  write_u32(out, kTraceVersionV1);
-  write_u32(out, t.num_vertices);
-  write_u64(out, t.ops.size());
-  for (const Op& op : t.ops) {
-    const char kind = static_cast<char>(op.kind);
-    out.write(&kind, 1);
-    write_u32(out, op.u);
-    write_u32(out, op.v);
-  }
-}
-
-/// Shared v2/v3 payload writer: the formats differ only in the width of the
-/// kind field folded into varint A (2 vs 3 bits).
-void save_trace_varint(const Trace& t, std::ostream& out, uint32_t version,
-                       int kind_bits) {
-  out.write(kTraceMagic, 4);
-  write_u32(out, version);
-  write_u32(out, kTraceFlagDeltaVarint);
-  write_u32(out, t.num_vertices);
-  write_u64(out, t.ops.size());
-  Vertex prev_u = 0;
+void encode_trace(const Trace& t, std::vector<uint8_t>& out) {
   for (const Op& op : t.ops) {
     if (op.u >= t.num_vertices || op.v >= t.num_vertices)
       fail("trace op addresses vertex >= num_vertices (" +
            std::to_string(op.u) + "," + std::to_string(op.v) + " vs " +
            std::to_string(t.num_vertices) + "); refusing to write an "
-           "unloadable v" + std::to_string(version) + " trace");
-    const uint64_t du = zigzag_encode(static_cast<int64_t>(op.u) -
-                                      static_cast<int64_t>(prev_u));
-    write_varint(out, (du << kind_bits) | static_cast<uint64_t>(op.kind));
-    write_varint(out, zigzag_encode(static_cast<int64_t>(op.v) -
-                                    static_cast<int64_t>(op.u)));
-    prev_u = op.u;
+           "unloadable trace");
   }
+  out.insert(out.end(), kTraceMagic, kTraceMagic + 4);
+  codec::append_le(out, kTraceVersionV3);
+  codec::append_le(out, kTraceFlagDeltaVarint);
+  codec::append_le(out, t.num_vertices);
+  codec::append_le(out, uint64_t{t.ops.size()});
+  codec::append_ops(out, t.ops);
 }
 
-void save_trace_v2(const Trace& t, std::ostream& out) {
-  reject_value_kinds(t, "v2");
-  save_trace_varint(t, out, kTraceVersionV2, 2);
+void save_trace(const Trace& t, std::ostream& out) {
+  std::vector<uint8_t> buf;
+  encode_trace(t, buf);
+  out.write(reinterpret_cast<const char*>(buf.data()),
+            static_cast<std::streamsize>(buf.size()));
+  if (!out) fail("trace write failed");
 }
 
-void save_trace_v3(const Trace& t, std::ostream& out) {
-  save_trace_varint(t, out, kTraceVersionV3, 3);
+void save_trace_file(const Trace& t, const std::string& path) {
+  std::ofstream f(path, std::ios::binary);
+  if (!f) fail("cannot write " + path);
+  save_trace(t, f);
 }
 
-Trace load_trace_v1(std::istream& in) {
-  Trace t;
-  t.num_vertices = read_u32(in);
-  const uint64_t count = read_u64(in);
-  // Reserve from the header count, but validate it against the bytes the
-  // stream actually holds first (9 bytes per op): a corrupt count field
-  // must produce the "truncated trace" error below, not a huge reserve
-  // (std::length_error / OOM). Unseekable streams fall back to a clamp.
-  uint64_t max_ops = 1 << 20;
-  const auto pos = in.tellg();
-  if (pos != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const auto end = in.tellg();
-    in.seekg(pos);
-    if (end != std::istream::pos_type(-1) && end >= pos)
-      max_ops = static_cast<uint64_t>(end - pos) / 9;
-  }
-  t.ops.reserve(std::min(count, max_ops));
+namespace {
+
+/// v1: fixed 9-byte ops after a 20-byte header.
+void decode_ops_v1(codec::Reader& in, uint64_t count, Trace& t) {
+  if (count > in.remaining() / codec::kTraceV1OpBytes)
+    in.fail("truncated (op count " + std::to_string(count) +
+            " exceeds what the payload can hold)");
+  t.ops.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    char kind;
-    if (!in.read(&kind, 1)) fail("truncated trace");
-    if (kind < 0 || kind > 2)
-      fail("corrupt trace: bad op kind " + std::to_string(kind));
+    const auto kind = in.le<uint8_t>();
+    if (kind > 2) in.fail("bad op kind " + std::to_string(kind));
     Op op;
     op.kind = static_cast<OpKind>(kind);
-    op.u = read_u32(in);
-    op.v = read_u32(in);
+    op.u = in.le<Vertex>();
+    op.v = in.le<Vertex>();
     if (op.u >= t.num_vertices || op.v >= t.num_vertices)
-      fail("corrupt trace: op addresses vertex >= num_vertices (" +
-           std::to_string(op.u) + "," + std::to_string(op.v) + " vs " +
-           std::to_string(t.num_vertices) + ")");
+      in.fail("op addresses vertex >= num_vertices (" + std::to_string(op.u) +
+              "," + std::to_string(op.v) + " vs " +
+              std::to_string(t.num_vertices) + ")");
     t.ops.push_back(op);
   }
-  return t;
-}
-
-/// Shared v2/v3 payload reader: v2 packs the kind into 2 bits (max kind 2),
-/// v3 into 3 bits (max kind 4).
-Trace load_trace_varint(std::istream& in, uint32_t version, int kind_bits,
-                        unsigned max_kind) {
-  const uint32_t flags = read_u32(in);
-  const std::string vname = "v" + std::to_string(version);
-  if ((flags & kTraceFlagDeltaVarint) == 0)
-    fail(vname + " trace missing the delta-varint payload flag");
-  if ((flags & ~kTraceFlagDeltaVarint) != 0)
-    fail(vname + " trace declares unknown flags 0x" + [&] {
-      std::ostringstream os;
-      os << std::hex << (flags & ~kTraceFlagDeltaVarint);
-      return os.str();
-    }());
-  Trace t;
-  t.num_vertices = read_u32(in);
-  const uint64_t count = read_u64(in);
-  // Same corrupt-count guard as v1, with the varint floor of 2 bytes/op.
-  uint64_t max_ops = 1 << 20;
-  const auto pos = in.tellg();
-  if (pos != std::istream::pos_type(-1)) {
-    in.seekg(0, std::ios::end);
-    const auto end = in.tellg();
-    in.seekg(pos);
-    if (end != std::istream::pos_type(-1) && end >= pos)
-      max_ops = static_cast<uint64_t>(end - pos) / 2;
-  }
-  t.ops.reserve(std::min(count, max_ops));
-  const uint64_t kind_mask = (uint64_t{1} << kind_bits) - 1;
-  Vertex prev_u = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t tag = read_varint(in);
-    const auto kind = static_cast<unsigned>(tag & kind_mask);
-    if (kind > max_kind)
-      fail("corrupt trace: bad op kind " + std::to_string(kind));
-    Op op;
-    op.kind = static_cast<OpKind>(kind);
-    op.u = apply_delta(prev_u, zigzag_decode(tag >> kind_bits),
-                       t.num_vertices, "u");
-    op.v = apply_delta(op.u, zigzag_decode(read_varint(in)), t.num_vertices,
-                       "v");
-    prev_u = op.u;
-    t.ops.push_back(op);
-  }
-  // The declared count must consume the whole payload: trailing bytes mean
-  // the header op count and the payload disagree (an op-count mismatch is
-  // as corrupt as a truncation, just on the other side).
-  if (in.peek() != std::istream::traits_type::eof())
-    fail("corrupt trace: payload continues past the declared op count");
-  return t;
 }
 
 }  // namespace
 
-bool needs_v3(const Trace& t) noexcept {
-  for (const Op& op : t.ops) {
-    if (static_cast<uint8_t>(op.kind) > 2) return true;
+Trace decode_trace(std::span<const uint8_t> bytes) {
+  codec::Reader in(bytes, "graph io: trace");
+  if (bytes.size() < 4 || std::memcmp(bytes.data(), kTraceMagic, 4) != 0)
+    fail("not a DCTR trace (bad magic)");
+  in.take(4);
+  const auto version = in.le<uint32_t>();
+  if (version < kTraceVersionV1 || version > kTraceVersionV3)
+    fail("unsupported trace version " + std::to_string(version));
+  if (version != kTraceVersionV1) {
+    const auto flags = in.le<uint32_t>();
+    if ((flags & kTraceFlagDeltaVarint) == 0)
+      in.fail("v" + std::to_string(version) +
+              " header lacks the delta-varint payload flag");
+    if ((flags & ~kTraceFlagDeltaVarint) != 0)
+      in.fail("v" + std::to_string(version) + " header declares unknown "
+              "flags " + std::to_string(flags & ~kTraceFlagDeltaVarint));
   }
-  return false;
-}
-
-TraceFormat preferred_format(const Trace& t) noexcept {
-  return needs_v3(t) ? TraceFormat::kV3 : TraceFormat::kV2;
-}
-
-void save_trace(const Trace& t, std::ostream& out, TraceFormat format) {
-  switch (format) {
-    case TraceFormat::kV1:
-      save_trace_v1(t, out);
-      break;
-    case TraceFormat::kV2:
-      save_trace_v2(t, out);
-      break;
-    case TraceFormat::kV3:
-      save_trace_v3(t, out);
-      break;
+  Trace t;
+  t.num_vertices = in.le<Vertex>();
+  const auto count = in.le<uint64_t>();
+  if (version == kTraceVersionV1) {
+    decode_ops_v1(in, count, t);
+  } else {
+    t.ops = codec::read_ops(in, count, t.num_vertices,
+                            version == kTraceVersionV2 ? codec::kKindBitsV2
+                                                       : codec::kKindBits);
   }
-  if (!out) fail("trace write failed");
-}
-
-void save_trace_file(const Trace& t, const std::string& path,
-                     TraceFormat format) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) fail("cannot write " + path);
-  save_trace(t, f, format);
+  in.expect_end();
+  return t;
 }
 
 Trace load_trace(std::istream& in) {
-  char magic[4];
-  if (!in.read(magic, 4) || std::memcmp(magic, kTraceMagic, 4) != 0)
-    fail("not a DCTR trace (bad magic)");
-  const uint32_t version = read_u32(in);
-  if (version == kTraceVersionV1) return load_trace_v1(in);
-  if (version == kTraceVersionV2)
-    return load_trace_varint(in, version, 2, 2);
-  if (version == kTraceVersionV3)
-    return load_trace_varint(in, version, 3, 4);
-  fail("unsupported trace version " + std::to_string(version));
+  const std::vector<uint8_t> bytes = codec::read_all(in);
+  return decode_trace(bytes);
 }
 
 Trace load_trace_file(const std::string& path) {
@@ -390,29 +202,21 @@ Trace load_trace_file(const std::string& path) {
 }
 
 TraceFileInfo trace_info_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  std::ifstream f(path, std::ios::binary);
   if (!f) fail("cannot open " + path);
+  const std::vector<uint8_t> bytes = codec::read_all(f);
+  // The strict decode comes first, so --info doubles as a validity check
+  // and the header fields read below are known to be present.
+  const Trace t = decode_trace(bytes);
   TraceFileInfo info;
-  info.file_bytes = static_cast<uint64_t>(f.tellg());
-  f.seekg(0);
-  char magic[4];
-  if (!f.read(magic, 4) || std::memcmp(magic, kTraceMagic, 4) != 0)
-    fail("not a DCTR trace (bad magic)");
-  info.version = read_u32(f);
-  // The header layout differs per version; re-decode from the top through
-  // the strict loader so --info doubles as a validity check.
-  if (info.version == kTraceVersionV2 || info.version == kTraceVersionV3) {
-    info.flags = read_u32(f);
-    info.header_bytes = 4 + 4 + 4 + 4 + 8;
-  } else if (info.version == kTraceVersionV1) {
-    info.header_bytes = 4 + 4 + 4 + 8;
+  info.file_bytes = bytes.size();
+  info.version = codec::get_le<uint32_t>(bytes.data() + 4);
+  if (info.version == kTraceVersionV1) {
+    info.header_bytes = codec::kTraceV1HeaderBytes;
   } else {
-    fail("unsupported trace version " + std::to_string(info.version));
+    info.header_bytes = codec::kTraceHeaderBytes;
+    info.flags = codec::get_le<uint32_t>(bytes.data() + 8);
   }
-  // Rewind and decode through the strict loader on the already-open stream
-  // (one open, one payload decode; --info doubles as a validity check).
-  f.seekg(0);
-  const Trace t = load_trace(f);
   info.num_vertices = t.num_vertices;
   info.ops = t.ops.size();
   for (const Op& op : t.ops) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,40 +34,38 @@ Graph load_auto(const std::string& path);
 /// Binary operation-trace format (DESIGN.md §6.2): a recorded op stream any
 /// scenario can be frozen into (harness::record_trace) and replayed
 /// deterministically across variants for apples-to-apples comparisons.
+/// The writer produces v3 only; the reader accepts v1, v2 and v3 (the older
+/// versions stay readable for the checked-in golden traces). All versions
+/// are little-endian with magic "DCTR"; the layouts and the byte primitives
+/// live in graph/codec.hpp.
 ///
-/// Three wire versions, all little-endian, shared magic "DCTR":
-///
-/// v1 (fixed 9 bytes/op, the original debug format — reader kept for
-/// back-compat, writer kept for the v1<->v2 compat tests):
+/// v1 (fixed 9 bytes/op, the original debug format):
 ///   bytes 0..3   magic "DCTR"
 ///   u32          version (1)
 ///   u32          num_vertices of the graph the ops address
 ///   u64          op count
 ///   then per op: u8 kind (0 add, 1 remove, 2 connected), u32 u, u32 v
 ///
-/// v2 (delta + varint/zigzag compressed, ~2-3 bytes/op on temporal streams):
+/// v2/v3 (delta + varint/zigzag compressed, ~2-3 bytes/op on temporal
+/// streams):
 ///   bytes 0..3   magic "DCTR"
-///   u32          version (2)
-///   u32          flags (header-declared; kTraceFlagDeltaVarint must be set,
-///                unknown bits are rejected)
+///   u32          version (2 or 3)
+///   u32          flags (kTraceFlagDeltaVarint must be set, unknown bits
+///                are rejected)
 ///   u32          num_vertices
 ///   u64          op count
-///   then per op, two LEB128 varints:
-///     varint A = zigzag(u - prev_u) << 2 | kind    (prev_u starts at 0)
+///   then per op, two LEB128 varints (prev_u starts at 0):
+///     varint A = zigzag(u - prev_u) << kind_bits | kind
 ///     varint B = zigzag(v - u)
-/// Decoding is strict: truncated varints, varints longer than 10 bytes,
-/// kind == 3, vertices outside [0, num_vertices), and op-count mismatches
-/// (payload ending early OR trailing bytes after the declared count) all
-/// throw std::runtime_error instead of yielding a silently wrong trace.
-///
-/// v3 (Query API v2): identical layout to v2 except the kind field in
-/// varint A widens to 3 bits so the value-returning query kinds fit:
-///     varint A = zigzag(u - prev_u) << 3 | kind    (kind 0..4)
-///   kind 3 = component_size(u), kind 4 = representative(u); both encode
-///   v == u (a zero varint B). kind 5..7 are rejected. v1/v2 writers refuse
-///   traces containing the new kinds (they cannot represent them);
-///   preferred_format() picks v3 only when a trace needs it, so traces of
-///   the boolean vocabulary keep the smaller v2 encoding.
+///   v2 has 2 kind bits and the boolean kinds 0..2; v3 has 3 kind bits and
+///   adds kind 3 = component_size(u) and 4 = representative(u), both with
+///   v == u (a zero varint B). The wire protocol's ops frames carry the
+///   same v3 payload.
+/// Decoding is strict for every version: truncation, varints longer than 10
+/// bytes, kinds outside the version's vocabulary, vertices outside
+/// [0, num_vertices), and op-count mismatches (payload ending early OR
+/// trailing bytes after the declared count) all throw std::runtime_error
+/// instead of yielding a silently wrong trace.
 struct Trace {
   Vertex num_vertices = 0;
   std::vector<Op> ops;
@@ -78,39 +77,23 @@ inline constexpr char kTraceMagic[4] = {'D', 'C', 'T', 'R'};
 inline constexpr uint32_t kTraceVersionV1 = 1;
 inline constexpr uint32_t kTraceVersionV2 = 2;
 inline constexpr uint32_t kTraceVersionV3 = 3;
-/// The version save_trace writes by default (boolean-vocabulary traces; use
-/// preferred_format() to auto-upgrade to v3 when value queries are present).
-inline constexpr uint32_t kTraceVersion = kTraceVersionV2;
 /// v2/v3 header flag: payload is the delta+varint encoding above. The only
-/// flag defined so far; writers must set it, readers reject unknown bits.
+/// flag defined so far; the writer sets it, readers reject unknown bits.
 inline constexpr uint32_t kTraceFlagDeltaVarint = 1u << 0;
 
-enum class TraceFormat : uint32_t {
-  kV1 = kTraceVersionV1,
-  kV2 = kTraceVersionV2,
-  kV3 = kTraceVersionV3,
-};
+/// Append the DCTR v3 encoding of `t` to `out`. Validates that every op
+/// addresses a vertex < num_vertices (a file that would fail its own strict
+/// reload is a bug at write time).
+void encode_trace(const Trace& t, std::vector<uint8_t>& out);
+void save_trace(const Trace& t, std::ostream& out);
+void save_trace_file(const Trace& t, const std::string& path);
 
-/// True when the trace contains ops only v3 can encode (component-size /
-/// representative queries).
-bool needs_v3(const Trace& t) noexcept;
-
-/// The most compatible format able to hold the trace: v2 for the boolean
-/// vocabulary, v3 when value queries are present.
-TraceFormat preferred_format(const Trace& t) noexcept;
-
-/// Writing v2/v3 validates that every op addresses a vertex < num_vertices
-/// (a file that would fail its own strict reload is a bug at write time);
-/// v1/v2 additionally refuse ops of the value-query kinds they cannot
-/// represent.
-void save_trace(const Trace& t, std::ostream& out,
-                TraceFormat format = TraceFormat::kV2);
-void save_trace_file(const Trace& t, const std::string& path,
-                     TraceFormat format = TraceFormat::kV2);
-
-/// Version-dispatching reader (v1, v2 and v3). Throws std::runtime_error on
-/// bad magic, unknown version or flags, truncation, bad op codes, vertex
-/// overflow, or op-count mismatch (see the format comment above).
+/// Version-dispatching strict decoder (v1, v2 and v3) over a whole buffer.
+/// Throws std::runtime_error on bad magic, unknown version or flags,
+/// truncation, bad op codes, vertex overflow, or op-count mismatch (see the
+/// format comment above).
+Trace decode_trace(std::span<const uint8_t> bytes);
+/// Decodes the rest of the stream as one trace.
 Trace load_trace(std::istream& in);
 Trace load_trace_file(const std::string& path);
 
@@ -130,7 +113,7 @@ struct TraceFileInfo {
   uint64_t header_bytes = 0;
   uint64_t payload_bytes = 0;
   /// payload_bytes / ops (0 when the trace is empty). 9.0 for v1 by
-  /// construction; the v2 target on temporal streams is <= 3.
+  /// construction; the v2/v3 target on temporal streams is <= 3.
   double bytes_per_op = 0;
 };
 
@@ -179,8 +162,7 @@ Trace temporal_to_trace(std::vector<TemporalEdge> events,
 /// set, and interleave query probes after updates until reads make up
 /// `read_percent` of the output. Probes target endpoints of random live
 /// edges (seeded); with `size_queries`, probes rotate through
-/// connected / component_size / representative — the resulting trace then
-/// needs the v3 wire format (preferred_format). Existing queries in the
+/// connected / component_size / representative. Existing queries in the
 /// input are passed through and counted toward the read share.
 Trace synthesize_reads(const Trace& in, int read_percent, bool size_queries,
                        uint64_t seed);

@@ -7,36 +7,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "graph/codec.hpp"
 
 namespace condyn::io {
 
 namespace {
-
-void put_u32(char* out, uint32_t v) {
-  out[0] = static_cast<char>(v & 0xff);
-  out[1] = static_cast<char>((v >> 8) & 0xff);
-  out[2] = static_cast<char>((v >> 16) & 0xff);
-  out[3] = static_cast<char>((v >> 24) & 0xff);
-}
-
-void put_u64(char* out, uint64_t v) {
-  put_u32(out, static_cast<uint32_t>(v & 0xffffffffu));
-  put_u32(out + 4, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t get_u32(const char* in) {
-  const auto* b = reinterpret_cast<const unsigned char*>(in);
-  return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-         (static_cast<uint32_t>(b[2]) << 16) |
-         (static_cast<uint32_t>(b[3]) << 24);
-}
-
-uint64_t get_u64(const char* in) {
-  return static_cast<uint64_t>(get_u32(in)) |
-         (static_cast<uint64_t>(get_u32(in + 4)) << 32);
-}
 
 /// FNV-1a over the record prefix — cheap, dependency-free, and plenty to
 /// tell a torn tail from a good record (this is corruption *detection* at
@@ -65,15 +42,12 @@ void save_snapshot(const Snapshot& s, std::ostream& out) {
       fail("snapshot trace must contain only add ops");
     }
   }
-  char header[16];
-  std::memcpy(header, kSnapshotMagic, 4);
-  put_u32(header + 4, kSnapshotVersion);
-  put_u64(header + 8, s.applied_seq);
-  out.write(header, sizeof header);
-  // One wire generation for the embedded trace (v3) keeps snapshots of the
-  // same edge set byte-identical across writer versions — the property the
-  // golden-file tests pin.
-  save_trace(s.edges, out, TraceFormat::kV3);
+  std::vector<uint8_t> buf(kSnapshotMagic, kSnapshotMagic + 4);
+  codec::append_le(buf, kSnapshotVersion);
+  codec::append_le(buf, s.applied_seq);
+  encode_trace(s.edges, buf);
+  out.write(reinterpret_cast<const char*>(buf.data()),
+            static_cast<std::streamsize>(buf.size()));
   if (!out) fail("write failed");
 }
 
@@ -126,19 +100,20 @@ void save_snapshot_file_atomic(const Snapshot& s, const std::string& path) {
 }
 
 Snapshot load_snapshot(std::istream& in) {
-  char header[16];
-  in.read(header, sizeof header);
-  if (in.gcount() != sizeof header) fail("short snapshot header");
-  if (std::memcmp(header, kSnapshotMagic, 4) != 0) {
+  const std::vector<uint8_t> bytes = codec::read_all(in);
+  codec::Reader r(bytes, "snapshot/journal: snapshot");
+  if (bytes.size() < codec::kSnapshotHeaderBytes) fail("short snapshot header");
+  if (std::memcmp(r.take(4).data(), kSnapshotMagic, 4) != 0) {
     fail("bad snapshot magic");
   }
-  const uint32_t version = get_u32(header + 4);
+  const auto version = r.le<uint32_t>();
   if (version != kSnapshotVersion) {
     fail("unknown snapshot version " + std::to_string(version));
   }
   Snapshot s;
-  s.applied_seq = get_u64(header + 8);
-  s.edges = load_trace(in);  // strict: truncation / overflow throws
+  s.applied_seq = r.le<uint64_t>();
+  // The embedded trace: strict, truncation / overflow throws.
+  s.edges = decode_trace(r.take(r.remaining()));
   for (const Op& op : s.edges.ops) {
     if (op.kind != OpKind::kAdd) {
       fail("snapshot trace contains a non-add op");
@@ -169,18 +144,18 @@ Snapshot make_snapshot(uint64_t applied_seq, Vertex num_vertices,
 
 void encode_journal_header(char out[kJournalHeaderBytes], Vertex num_vertices) {
   std::memcpy(out, kJournalMagic, 4);
-  put_u32(out + 4, kJournalVersion);
-  put_u32(out + 8, num_vertices);
-  put_u32(out + 12, 0);  // reserved
+  codec::put_le(out + 4, kJournalVersion);
+  codec::put_le(out + 8, num_vertices);
+  codec::put_le(out + 12, uint32_t{0});  // reserved
 }
 
 void encode_journal_record(char out[kJournalRecordBytes], uint64_t seq,
                            const Op& op) {
-  put_u64(out, seq);
-  out[8] = static_cast<char>(op.kind);
-  put_u32(out + 9, op.u);
-  put_u32(out + 13, op.v);
-  put_u32(out + 17, fnv1a32(out, 17));
+  codec::put_le(out, seq);
+  codec::put_le(out + 8, static_cast<uint8_t>(op.kind));
+  codec::put_le(out + 9, op.u);
+  codec::put_le(out + 13, op.v);
+  codec::put_le(out + 17, fnv1a32(out, 17));
 }
 
 void write_journal_header(std::ostream& out, Vertex num_vertices) {
@@ -202,12 +177,12 @@ JournalData load_journal(std::istream& in) {
     fail("short journal header");
   }
   if (std::memcmp(header, kJournalMagic, 4) != 0) fail("bad journal magic");
-  const uint32_t version = get_u32(header + 4);
+  const auto version = codec::get_le<uint32_t>(header + 4);
   if (version != kJournalVersion) {
     fail("unknown journal version " + std::to_string(version));
   }
   JournalData j;
-  j.num_vertices = get_u32(header + 8);
+  j.num_vertices = codec::get_le<uint32_t>(header + 8);
   char rec[kJournalRecordBytes];
   uint64_t prev_seq = 0;
   for (;;) {
@@ -220,11 +195,11 @@ JournalData load_journal(std::istream& in) {
       j.tail_bytes = got;
       break;
     }
-    const uint32_t crc = get_u32(rec + 17);
-    const uint64_t seq = get_u64(rec);
-    const auto kind = static_cast<uint8_t>(rec[8]);
-    const Vertex u = get_u32(rec + 9);
-    const Vertex v = get_u32(rec + 13);
+    const auto crc = codec::get_le<uint32_t>(rec + 17);
+    const auto seq = codec::get_le<uint64_t>(rec);
+    const auto kind = codec::get_le<uint8_t>(rec + 8);
+    const auto u = codec::get_le<Vertex>(rec + 9);
+    const auto v = codec::get_le<Vertex>(rec + 13);
     const bool good = crc == fnv1a32(rec, 17) && kind <= 1 && seq > prev_seq &&
                       u < j.num_vertices && v < j.num_vertices;
     if (!good) {

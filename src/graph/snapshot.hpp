@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "api/dynamic_connectivity.hpp"
+#include "graph/codec.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
 
@@ -47,8 +48,8 @@ inline constexpr char kSnapshotMagic[4] = {'D', 'C', 'S', 'N'};
 inline constexpr uint32_t kSnapshotVersion = 1;
 inline constexpr char kJournalMagic[4] = {'D', 'C', 'J', 'L'};
 inline constexpr uint32_t kJournalVersion = 1;
-inline constexpr std::size_t kJournalHeaderBytes = 16;
-inline constexpr std::size_t kJournalRecordBytes = 21;
+inline constexpr std::size_t kJournalHeaderBytes = codec::kJournalHeaderBytes;
+inline constexpr std::size_t kJournalRecordBytes = codec::kJournalRecordBytes;
 
 struct Snapshot {
   uint64_t applied_seq = 0;  ///< journal seq folded into `edges`
@@ -77,9 +78,9 @@ struct JournalData {
 
 /// Strict writer/reader for the snapshot envelope. save_snapshot validates
 /// the embedded trace the way save_trace does (every op must be a kAdd
-/// addressing a vertex < num_vertices) and always embeds DCTR v3 — one
-/// byte-stable wire generation for golden pinning, with headroom if
-/// snapshots ever carry value-op state.
+/// addressing a vertex < num_vertices) and embeds it as DCTR v3, the only
+/// version the trace writer produces. The byte layouts are in
+/// graph/codec.hpp.
 void save_snapshot(const Snapshot& s, std::ostream& out);
 void save_snapshot_file(const Snapshot& s, const std::string& path);
 /// Atomic variant: write to `path + ".tmp"`, then rename over `path`, so a

@@ -2,65 +2,14 @@
 
 #include <stdexcept>
 
+#include "graph/codec.hpp"
+
 namespace condyn::wire {
 
 namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("wire: " + what);
-}
-
-// Varint/zigzag primitives over byte buffers — the buffer-based twins of the
-// iostream ones in io.cpp, with identical strictness (the codec is a
-// serialization of the same vocabulary, so it inherits the same rules).
-
-uint64_t zigzag_encode(int64_t v) noexcept {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-int64_t zigzag_decode(uint64_t z) noexcept {
-  return static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
-}
-
-void append_varint(std::vector<uint8_t>& out, uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<uint8_t>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(v));
-}
-
-/// Strict LEB128: EOF mid-varint and >10-byte runs both throw.
-uint64_t read_varint(std::span<const uint8_t> buf, std::size_t& pos) {
-  uint64_t v = 0;
-  for (int shift = 0; shift < 70; shift += 7) {
-    if (pos >= buf.size()) fail("truncated payload (varint cut short)");
-    const uint8_t byte = buf[pos++];
-    if (shift == 63 && (byte & 0x7e) != 0)
-      fail("corrupt payload: varint overflows 64 bits");
-    v |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return v;
-  }
-  fail("corrupt payload: varint longer than 10 bytes");
-}
-
-/// Same wraparound-checked delta application as the trace readers: the sum
-/// is taken in uint64 so every out-of-range true sum wraps past num_vertices
-/// and one range check rejects them all without signed-overflow UB.
-Vertex apply_delta(Vertex base, int64_t delta, Vertex num_vertices,
-                   const char* which) {
-  const uint64_t v = base + static_cast<uint64_t>(delta);
-  if (v >= num_vertices)
-    fail(std::string("corrupt ops frame: ") + which +
-         " delta lands outside [0, " + std::to_string(num_vertices) + ")");
-  return static_cast<Vertex>(v);
-}
-
-void require_consumed(std::span<const uint8_t> payload, std::size_t pos,
-                      const char* what) {
-  if (pos != payload.size())
-    fail(std::string("corrupt ") + what +
-         ": payload continues past the declared content");
 }
 
 /// Reserve space for the u32 length prefix; patched by end_frame once the
@@ -75,8 +24,7 @@ std::size_t begin_frame(std::vector<uint8_t>& out, FrameType type) {
 void end_frame(std::vector<uint8_t>& out, std::size_t at) {
   const uint64_t body = out.size() - at - 4;  // type byte + payload
   if (body == 0 || body > kMaxFrameBytes) fail("frame body size out of range");
-  for (int i = 0; i < 4; ++i)
-    out[at + i] = static_cast<uint8_t>((body >> (8 * i)) & 0xff);
+  codec::put_le(out.data() + at, static_cast<uint32_t>(body));
 }
 
 }  // namespace
@@ -94,8 +42,7 @@ const char* status_name(Status s) noexcept {
 
 std::optional<FrameView> try_frame(std::span<const uint8_t> buf) {
   if (buf.size() < 4) return std::nullopt;
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<uint32_t>(buf[i]) << (8 * i);
+  const auto len = codec::get_le<uint32_t>(buf.data());
   // Hopeless headers are rejected before waiting for (or allocating) the
   // body: a corrupt length would otherwise stall the connection forever or
   // commit the server to buffering up to 4 GiB.
@@ -117,45 +64,18 @@ std::optional<FrameView> try_frame(std::span<const uint8_t> buf) {
 
 void encode_ops_frame(std::span<const Op> ops, std::vector<uint8_t>& out) {
   const std::size_t at = begin_frame(out, FrameType::kOps);
-  append_varint(out, ops.size());
-  Vertex prev_u = 0;
-  for (const Op& op : ops) {
-    const uint64_t du = zigzag_encode(static_cast<int64_t>(op.u) -
-                                      static_cast<int64_t>(prev_u));
-    append_varint(out, (du << 3) | static_cast<uint64_t>(op.kind));
-    append_varint(out, zigzag_encode(static_cast<int64_t>(op.v) -
-                                     static_cast<int64_t>(op.u)));
-    prev_u = op.u;
-  }
+  codec::append_varint(out, ops.size());
+  codec::append_ops(out, ops);
   end_frame(out, at);
 }
 
 std::vector<Op> decode_ops(std::span<const uint8_t> payload,
                            Vertex num_vertices) {
-  std::size_t pos = 0;
-  const uint64_t count = read_varint(payload, pos);
-  // Corrupt-count guard: each op costs at least 2 payload bytes, so a count
-  // past that bound can never be satisfied — reject before reserving.
-  if (count > (payload.size() - pos) / 2)
-    fail("corrupt ops frame: op count " + std::to_string(count) +
-         " exceeds what the payload can hold");
-  std::vector<Op> ops;
-  ops.reserve(count);
-  Vertex prev_u = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t tag = read_varint(payload, pos);
-    const auto kind = static_cast<unsigned>(tag & 0x7);
-    if (kind >= kNumOpKinds)
-      fail("corrupt ops frame: bad op kind " + std::to_string(kind));
-    Op op;
-    op.kind = static_cast<OpKind>(kind);
-    op.u = apply_delta(prev_u, zigzag_decode(tag >> 3), num_vertices, "u");
-    op.v = apply_delta(op.u, zigzag_decode(read_varint(payload, pos)),
-                       num_vertices, "v");
-    prev_u = op.u;
-    ops.push_back(op);
-  }
-  require_consumed(payload, pos, "ops frame");
+  codec::Reader in(payload, "wire: ops frame");
+  const uint64_t count = in.varint();
+  std::vector<Op> ops =
+      codec::read_ops(in, count, num_vertices, codec::kKindBits);
+  in.expect_end();
   return ops;
 }
 
@@ -165,29 +85,28 @@ void encode_results_frame(Status s, std::span<const uint64_t> values,
     fail("non-ok results frame must carry zero values");
   const std::size_t at = begin_frame(out, FrameType::kResults);
   out.push_back(static_cast<uint8_t>(s));
-  append_varint(out, values.size());
-  for (const uint64_t v : values) append_varint(out, v);
+  codec::append_varint(out, values.size());
+  for (const uint64_t v : values) codec::append_varint(out, v);
   end_frame(out, at);
 }
 
 Results decode_results(std::span<const uint8_t> payload) {
-  if (payload.empty()) fail("results frame missing status byte");
-  if (payload[0] > static_cast<uint8_t>(Status::kFailed))
-    fail("corrupt results frame: bad status " + std::to_string(payload[0]));
+  codec::Reader in(payload, "wire: results frame");
+  const auto status = in.le<uint8_t>();
+  if (status > static_cast<uint8_t>(Status::kFailed))
+    in.fail("bad status " + std::to_string(status));
   Results r;
-  r.status = static_cast<Status>(payload[0]);
-  std::size_t pos = 1;
-  const uint64_t count = read_varint(payload, pos);
+  r.status = static_cast<Status>(status);
+  const uint64_t count = in.varint();
   // Each value is at least one payload byte.
-  if (count > payload.size() - pos)
-    fail("corrupt results frame: value count " + std::to_string(count) +
-         " exceeds what the payload can hold");
+  if (count > in.remaining())
+    in.fail("value count " + std::to_string(count) +
+            " exceeds what the payload can hold");
   if (r.status != Status::kOk && count != 0)
-    fail("corrupt results frame: non-ok status with values");
+    in.fail("non-ok status with values");
   r.values.reserve(count);
-  for (uint64_t i = 0; i < count; ++i)
-    r.values.push_back(read_varint(payload, pos));
-  require_consumed(payload, pos, "results frame");
+  for (uint64_t i = 0; i < count; ++i) r.values.push_back(in.varint());
+  in.expect_end();
   return r;
 }
 
@@ -202,31 +121,21 @@ void check_status_request(std::span<const uint8_t> payload) {
 
 void encode_status_response(const StatusReport& r, std::vector<uint8_t>& out) {
   const std::size_t at = begin_frame(out, FrameType::kStatusResponse);
-  append_varint(out, r.num_vertices);
-  append_varint(out, r.queue_depth);
-  append_varint(out, r.submitted);
-  append_varint(out, r.acked);
-  append_varint(out, r.dropped);
-  append_varint(out, r.shed_reads);
-  append_varint(out, r.failed);
-  append_varint(out, r.journal_errors);
-  append_varint(out, r.batches);
+  for (const uint64_t v : {r.num_vertices, r.queue_depth, r.submitted, r.acked,
+                           r.dropped, r.shed_reads, r.failed, r.journal_errors,
+                           r.batches})
+    codec::append_varint(out, v);
   end_frame(out, at);
 }
 
 StatusReport decode_status_response(std::span<const uint8_t> payload) {
-  std::size_t pos = 0;
+  codec::Reader in(payload, "wire: status response");
   StatusReport r;
-  r.num_vertices = read_varint(payload, pos);
-  r.queue_depth = read_varint(payload, pos);
-  r.submitted = read_varint(payload, pos);
-  r.acked = read_varint(payload, pos);
-  r.dropped = read_varint(payload, pos);
-  r.shed_reads = read_varint(payload, pos);
-  r.failed = read_varint(payload, pos);
-  r.journal_errors = read_varint(payload, pos);
-  r.batches = read_varint(payload, pos);
-  require_consumed(payload, pos, "status response");
+  for (uint64_t* v : {&r.num_vertices, &r.queue_depth, &r.submitted, &r.acked,
+                      &r.dropped, &r.shed_reads, &r.failed, &r.journal_errors,
+                      &r.batches})
+    *v = in.varint();
+  in.expect_end();
   return r;
 }
 

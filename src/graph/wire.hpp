@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "api/dynamic_connectivity.hpp"
+#include "graph/codec.hpp"
 
 namespace condyn::wire {
 
@@ -20,8 +21,10 @@ namespace condyn::wire {
 ///   u8   type     FrameType below
 ///   ...  payload  length - 1 bytes, type-specific
 ///
-/// Payloads reuse the DCTR v3 delta+varint encoding (io.hpp) with the same
-/// strictness rules: truncated varints, varints longer than 10 bytes,
+/// Payloads are written and read by the byte codec DCTR traces use
+/// (graph/codec.hpp): an ops payload is a varint count followed by exactly
+/// the DCTR v3 delta+varint op payload, with the same strictness rules:
+/// truncated varints, varints longer than 10 bytes,
 /// kind > 4, vertex deltas outside [0, num_vertices), and payload bytes
 /// disagreeing with the declared count (short *or* trailing) all throw
 /// std::runtime_error — a malformed frame is rejected, never silently
@@ -34,10 +37,10 @@ namespace condyn::wire {
 
 /// Upper bound on length (type byte + payload): oversized headers are
 /// rejected before any allocation, so a hostile length field cannot OOM the
-/// server (the same posture as the trace readers' corrupt-count guard).
+/// server (the same posture as the codec's corrupt-count guard).
 inline constexpr uint32_t kMaxFrameBytes = 1u << 24;
 /// Bytes before the payload: the u32 length plus the u8 type.
-inline constexpr std::size_t kHeaderBytes = 5;
+inline constexpr std::size_t kHeaderBytes = codec::kFrameHeaderBytes;
 
 enum class FrameType : uint8_t {
   kOps = 1,             ///< request: a batch of ops (one program)
@@ -79,7 +82,7 @@ std::optional<FrameView> try_frame(std::span<const uint8_t> buf);
 void encode_ops_frame(std::span<const Op> ops, std::vector<uint8_t>& out);
 
 /// Strict decode of a kOps payload against an n-vertex universe (the
-/// server's num_vertices). Mirrors the DCTR v3 rules exactly; see the file
+/// server's num_vertices). Runs the DCTR v3 op decoder itself; see the file
 /// comment for what throws.
 std::vector<Op> decode_ops(std::span<const uint8_t> payload,
                            Vertex num_vertices);

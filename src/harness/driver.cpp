@@ -278,14 +278,6 @@ RunResult run_finite(const ScenarioInfo& s, DynamicConnectivity& dc,
   return combine(totals, elapsed, cfg.threads);
 }
 
-const ScenarioInfo& must_find_scenario(const char* name) {
-  const ScenarioInfo* s = find_scenario(name);
-  if (s == nullptr) {
-    throw std::logic_error(std::string("built-in scenario missing: ") + name);
-  }
-  return *s;
-}
-
 }  // namespace
 
 RunConfig validated(const RunConfig& cfg) {
@@ -365,26 +357,6 @@ RunResult run_scenario(const ScenarioInfo& s, DynamicConnectivity& dc,
     for (const Op& op : pre) dc.add_edge(op.u, op.v);
   }
   return s.caps.finite ? run_finite(s, dc, g, cfg) : run_timed(s, dc, g, cfg);
-}
-
-RunResult run_random(DynamicConnectivity& dc, const Graph& g,
-                     const RunConfig& cfg) {
-  return run_scenario(must_find_scenario("random"), dc, g, cfg);
-}
-
-RunResult run_incremental(DynamicConnectivity& dc, const Graph& g,
-                          const RunConfig& cfg) {
-  return run_scenario(must_find_scenario("incremental"), dc, g, cfg);
-}
-
-RunResult run_decremental(DynamicConnectivity& dc, const Graph& g,
-                          const RunConfig& cfg) {
-  return run_scenario(must_find_scenario("decremental"), dc, g, cfg);
-}
-
-RunResult run_batch(DynamicConnectivity& dc, const Graph& g,
-                    const RunConfig& cfg) {
-  return run_scenario(must_find_scenario("batch-random"), dc, g, cfg);
 }
 
 namespace {
@@ -470,12 +442,8 @@ EnvConfig env_config() {
     if (s != nullptr) cfg.scenarios.push_back(s->name);
   }
 
-  // DC_BENCH_BATCH_SIZES is the preferred spelling (ISSUE 7); the original
-  // DC_BENCH_BATCH is honored as a fallback so existing scripts keep
-  // working. One run sweeps every listed size on the batch scenarios.
-  std::vector<std::string> batch_items = env_list("DC_BENCH_BATCH_SIZES");
-  if (batch_items.empty()) batch_items = env_list("DC_BENCH_BATCH");
-  for (const std::string& item : batch_items) {
+  // One run sweeps every listed size on the batch scenarios.
+  for (const std::string& item : env_list("DC_BENCH_BATCH_SIZES")) {
     if (!all_digits(item)) continue;  // malformed entries are skipped
     const std::size_t b = static_cast<std::size_t>(std::stoul(item));
     if (b > 0) cfg.batch_sizes.push_back(b);

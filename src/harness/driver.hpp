@@ -26,8 +26,7 @@ namespace condyn::harness {
 //   DC_BENCH_FULL      1 = paper-size graphs, all variants    (default 0)
 //   DC_BENCH_BATCH_SIZES  comma list of batch sizes           (default
 //                      "1,16,64,256"; batch scenarios only; one run sweeps
-//                      every listed size. DC_BENCH_BATCH is the legacy
-//                      spelling, honored when _SIZES is unset)
+//                      every listed size)
 //   DC_BENCH_SCENARIOS comma list of scenario names/ids       (default: all
 //                      runnable — trace-replay needs DC_BENCH_TRACE)
 //   DC_BENCH_READS     comma list of read percentages         (default
@@ -102,17 +101,6 @@ struct RunResult {
 RunResult run_scenario(const ScenarioInfo& s, DynamicConnectivity& dc,
                        const Graph& g, const RunConfig& cfg);
 
-/// Named wrappers for the paper's scenarios, kept for tests and examples;
-/// each resolves the registry entry and calls run_scenario.
-RunResult run_random(DynamicConnectivity& dc, const Graph& g,
-                     const RunConfig& cfg);
-RunResult run_incremental(DynamicConnectivity& dc, const Graph& g,
-                          const RunConfig& cfg);
-RunResult run_decremental(DynamicConnectivity& dc, const Graph& g,
-                          const RunConfig& cfg);
-RunResult run_batch(DynamicConnectivity& dc, const Graph& g,
-                    const RunConfig& cfg);
-
 /// Benchmark-wide knobs resolved from the environment (see above).
 struct EnvConfig {
   std::vector<unsigned> thread_counts;
@@ -127,8 +115,8 @@ struct EnvConfig {
   /// Scenario names to run, resolved from DC_BENCH_SCENARIOS (comma list of
   /// ids or names); empty = caller's default set.
   std::vector<std::string> scenarios;
-  /// Batch sizes to sweep, from DC_BENCH_BATCH_SIZES (legacy spelling
-  /// DC_BENCH_BATCH; batch scenarios only).
+  /// Batch sizes to sweep, from DC_BENCH_BATCH_SIZES (batch scenarios
+  /// only).
   std::vector<std::size_t> batch_sizes;
   /// Read percentages to sweep, from DC_BENCH_READS (read-mix scenarios).
   std::vector<int> read_percents;

@@ -322,10 +322,7 @@ io::Trace record_trace(const ScenarioInfo& s, const Graph& g,
 void record_trace_file(const ScenarioInfo& s, const Graph& g,
                        const RunConfig& cfg, std::size_t max_ops,
                        const std::string& path) {
-  const io::Trace t = record_trace(s, g, cfg, max_ops);
-  // v2 for the boolean vocabulary, v3 as soon as a scenario (size-query)
-  // emits value-returning ops — the writer refuses the lossy downgrade.
-  io::save_trace_file(t, path, io::preferred_format(t));
+  io::save_trace_file(record_trace(s, g, cfg, max_ops), path);
 }
 
 std::vector<uint64_t> replay_trace(DynamicConnectivity& dc,

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "api/factory.hpp"
 #include "graph/cc.hpp"
@@ -17,6 +18,14 @@
 
 namespace condyn {
 namespace {
+
+/// The registry entry of a built-in scenario.
+const harness::ScenarioInfo& builtin(const char* name) {
+  const harness::ScenarioInfo* s = harness::find_scenario(name);
+  if (s == nullptr)
+    throw std::runtime_error(std::string("built-in scenario missing: ") + name);
+  return *s;
+}
 
 TEST(Workload, RandomHalfIsAHalfSubset) {
   Graph g = gen::erdos_renyi(100, 400, 3);
@@ -113,8 +122,9 @@ TEST(Workload, RunConfigValidation) {
   // any thread spawns instead of producing undefined downstream behavior.
   Graph g = gen::erdos_renyi(20, 40, 2);
   auto dc = make_variant(1, g.num_vertices());
-  EXPECT_THROW(harness::run_random(*dc, g, bad_threads),
-               std::invalid_argument);
+  EXPECT_THROW(
+      harness::run_scenario(builtin("random"), *dc, g, bad_threads),
+      std::invalid_argument);
 }
 
 TEST(Workload, ValidationRejectsArrivalRateOnClosedLoopBatchScenarios) {
@@ -150,7 +160,8 @@ TEST(Workload, ValidationRejectsArrivalRateOnClosedLoopBatchScenarios) {
   cfg.warmup_ms = 0;
   Graph g = gen::erdos_renyi(20, 40, 2);
   auto dc = make_variant(1, g.num_vertices());
-  EXPECT_THROW(harness::run_batch(*dc, g, cfg), std::invalid_argument);
+  EXPECT_THROW(harness::run_scenario(builtin("batch-random"), *dc, g, cfg),
+               std::invalid_argument);
 }
 
 TEST(Workload, BatchStreamMatchesPerOpStream) {
@@ -186,7 +197,8 @@ TEST(Driver, RandomScenarioProducesThroughput) {
   cfg.read_percent = 80;
   cfg.warmup_ms = 10;
   cfg.measure_ms = 40;
-  const harness::RunResult r = harness::run_random(*dc, g, cfg);
+  const harness::RunResult r =
+      harness::run_scenario(builtin("random"), *dc, g, cfg);
   EXPECT_GT(r.total_ops, 0u);
   EXPECT_GT(r.ops_per_ms, 0.0);
   EXPECT_GE(r.elapsed_ms, cfg.measure_ms * 0.9);
@@ -204,7 +216,8 @@ TEST(Driver, BatchScenarioProducesThroughputAndLatency) {
   cfg.warmup_ms = 10;
   cfg.measure_ms = 40;
   cfg.batch_size = 32;
-  const harness::RunResult r = harness::run_batch(*dc, g, cfg);
+  const harness::RunResult r =
+      harness::run_scenario(builtin("batch-random"), *dc, g, cfg);
   EXPECT_GT(r.total_ops, 0u);
   EXPECT_GT(r.ops_per_ms, 0.0);
   EXPECT_GT(r.batches, 0u);
@@ -224,7 +237,8 @@ TEST(Driver, IncrementalInsertsWholeGraph) {
   auto dc = make_variant(9, g.num_vertices());
   harness::RunConfig cfg;
   cfg.threads = 3;
-  const harness::RunResult r = harness::run_incremental(*dc, g, cfg);
+  const harness::RunResult r =
+      harness::run_scenario(builtin("incremental"), *dc, g, cfg);
   EXPECT_EQ(r.total_ops, g.num_edges());
   // Everything inserted: structure must agree with the full graph.
   const ComponentInfo cc = connected_components(g);
@@ -238,7 +252,8 @@ TEST(Driver, DecrementalEmptiesTheStructure) {
   auto dc = make_variant(9, g.num_vertices());
   harness::RunConfig cfg;
   cfg.threads = 3;
-  const harness::RunResult r = harness::run_decremental(*dc, g, cfg);
+  const harness::RunResult r =
+      harness::run_scenario(builtin("decremental"), *dc, g, cfg);
   EXPECT_EQ(r.total_ops, g.num_edges());
   for (Vertex v = 1; v < 120; v += 7) EXPECT_FALSE(dc->connected(0, v));
 }

@@ -350,27 +350,34 @@ TEST(ScenarioStreams, ComponentLocalOpsStayInOneCommunityPerRun) {
 
 TEST(TraceIo, RoundTripsThroughTheBinaryFormat) {
   io::Trace t;
-  t.num_vertices = 0x80000000u;  // v2 validates ops against the universe
+  t.num_vertices = 0x80000000u;  // the writer validates ops against it
   t.ops = {Op::add(1, 2), Op::remove(999, 0), Op::connected(5, 5),
            Op::add(0xffffffffu >> 1, 3)};
-  for (const io::TraceFormat f : {io::TraceFormat::kV1, io::TraceFormat::kV2}) {
-    std::stringstream ss;
-    io::save_trace(t, ss, f);
-    const io::Trace back = io::load_trace(ss);
-    EXPECT_EQ(back, t) << "format v" << static_cast<uint32_t>(f);
-  }
+  std::stringstream ss;
+  io::save_trace(t, ss);
+  EXPECT_EQ(io::load_trace(ss), t);
 }
 
 TEST(TraceIo, RejectsCorruptInput) {
   std::stringstream bad_magic("NOPE....");
   EXPECT_THROW(io::load_trace(bad_magic), std::runtime_error);
 
-  io::Trace t;
-  t.num_vertices = 4;
-  t.ops = {Op::add(0, 1), Op::connected(2, 3)};
-  std::stringstream ss;
-  io::save_trace(t, ss, io::TraceFormat::kV1);  // v1 byte offsets below
-  const std::string bytes = ss.str();
+  // A hand-built v1 trace (the writer produces v3 only): header "DCTR",
+  // version 1, |V| = 4, 2 ops; then kind, u, v per op, little-endian.
+  auto u32 = [](uint32_t v) {
+    std::string b;
+    for (int i = 0; i < 4; ++i) b += static_cast<char>((v >> (8 * i)) & 0xff);
+    return b;
+  };
+  const std::string bytes = "DCTR" + u32(1) + u32(4) + u32(2) + u32(0) +
+                            '\0' + u32(0) + u32(1) +   // add(0, 1)
+                            '\2' + u32(2) + u32(3);    // connected(2, 3)
+  {  // the untouched bytes decode
+    std::stringstream ok(bytes);
+    const io::Trace t = io::load_trace(ok);
+    EXPECT_EQ(t.num_vertices, 4u);
+    EXPECT_EQ(t.ops, (std::vector<Op>{Op::add(0, 1), Op::connected(2, 3)}));
+  }
   // Truncation mid-op.
   std::stringstream truncated(bytes.substr(0, bytes.size() - 3));
   EXPECT_THROW(io::load_trace(truncated), std::runtime_error);

@@ -1,8 +1,9 @@
-// DCTR v2 format coverage: varint/zigzag round trips, strict decode
-// validation (truncated varints, corrupted headers, bad op codes, vertex
-// overflow, op-count mismatches), v1<->v2 recompression identity, the
-// checked-in golden traces that pin both wire formats against drift, and
-// the SNAP temporal importer behind tools/trace_convert.
+// DCTR format coverage: varint/zigzag round trips through the v3 writer,
+// strict decode validation of every version (truncated varints, corrupted
+// headers, bad op codes, vertex overflow, op-count mismatches, trailing
+// bytes), recompression of the v1/v2 goldens into v3, the checked-in golden
+// traces that pin the formats against drift, and the SNAP temporal importer
+// behind tools/trace_convert.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -27,9 +28,9 @@ std::string source_path(const std::string& rel) {
   return std::string(CONDYN_SOURCE_DIR) + "/" + rel;
 }
 
-std::string bytes_of(const io::Trace& t, io::TraceFormat f) {
+std::string bytes_of(const io::Trace& t) {
   std::stringstream ss;
-  io::save_trace(t, ss, f);
+  io::save_trace(t, ss);
   return ss.str();
 }
 
@@ -40,6 +41,11 @@ std::string file_bytes(const std::string& path) {
   ss << f.rdbuf();
   return ss.str();
 }
+
+// The writer produces v3 only: v1 and v2 reader inputs come from the
+// checked-in goldens (400 ops over 64 vertices, pinned below).
+constexpr const char* kGoldenV1Path = "tests/data/golden_v1.dctr";
+constexpr const char* kGoldenV2Path = "tests/data/golden_v2.dctr";
 
 io::Trace random_trace(Vertex n, std::size_t ops, uint64_t seed) {
   io::Trace t;
@@ -103,21 +109,21 @@ TEST(TraceV2, RoundTripsArbitraryOpMixes) {
   for (const uint64_t seed : {1ull, 99ull}) {
     const io::Trace t = random_trace(5000, 700, seed);
     std::stringstream ss;
-    io::save_trace(t, ss, io::TraceFormat::kV2);
+    io::save_trace(t, ss);
     EXPECT_EQ(io::load_trace(ss), t);
   }
   // Degenerate shapes: empty trace, single op, zero-delta runs.
   io::Trace empty;
   empty.num_vertices = 3;
   std::stringstream es;
-  io::save_trace(empty, es, io::TraceFormat::kV2);
+  io::save_trace(empty, es);
   EXPECT_EQ(io::load_trace(es), empty);
 
   io::Trace runs;
   runs.num_vertices = 10;
   for (int i = 0; i < 50; ++i) runs.ops.push_back(Op::add(4, 7));
   std::stringstream rs;
-  io::save_trace(runs, rs, io::TraceFormat::kV2);
+  io::save_trace(runs, rs);
   EXPECT_EQ(io::load_trace(rs), runs);
   // Zero-delta encoding: repeated identical ops cost 2 bytes each.
   EXPECT_EQ(rs.str().size(), 24u + 2u * 50u);
@@ -125,31 +131,28 @@ TEST(TraceV2, RoundTripsArbitraryOpMixes) {
 
 TEST(TraceV2, CompressesBelowV1) {
   const io::Trace t = random_trace(2000, 1000, 5);
-  const std::string v1 = bytes_of(t, io::TraceFormat::kV1);
-  const std::string v2 = bytes_of(t, io::TraceFormat::kV2);
-  EXPECT_EQ(v1.size(), 20u + 9u * t.ops.size());
-  EXPECT_LT(v2.size(), v1.size() / 2);  // even uniform-random ops halve
+  // The v1 layout: a 20-byte header, then a fixed 9 bytes per op.
+  const std::size_t v1_size = 20u + 9u * t.ops.size();
+  EXPECT_LT(bytes_of(t).size(), v1_size / 2);  // even uniform-random ops halve
 }
 
 TEST(TraceV2, RecompressRoundTripIsIdentity) {
-  const io::Trace t = random_trace(300, 500, 17);
-  // v2 -> v1 -> v2: ops survive exactly and the final v2 bytes match the
-  // first encoding (the writer is deterministic, so recompression of an
-  // unchanged trace is byte-stable).
-  const std::string v2a = bytes_of(t, io::TraceFormat::kV2);
-  std::stringstream s1(v2a);
-  const io::Trace via_v2 = io::load_trace(s1);
-  EXPECT_EQ(via_v2, t);
-  const std::string v1 = bytes_of(via_v2, io::TraceFormat::kV1);
-  std::stringstream s2(v1);
-  const io::Trace via_v1 = io::load_trace(s2);
-  EXPECT_EQ(via_v1, t);
-  EXPECT_EQ(bytes_of(via_v1, io::TraceFormat::kV2), v2a);
+  // The v1 and v2 goldens hold the same ops: recompressing either gives the
+  // same v3 bytes, and recompressing that output again changes nothing
+  // (the writer is deterministic, so recompression is byte-stable).
+  const io::Trace via_v1 = io::load_trace_file(source_path(kGoldenV1Path));
+  const io::Trace via_v2 = io::load_trace_file(source_path(kGoldenV2Path));
+  EXPECT_EQ(via_v1, via_v2);
+  const std::string v3 = bytes_of(via_v1);
+  EXPECT_EQ(bytes_of(via_v2), v3);
+  std::stringstream s(v3);
+  const io::Trace via_v3 = io::load_trace(s);
+  EXPECT_EQ(via_v3, via_v1);
+  EXPECT_EQ(bytes_of(via_v3), v3);
 }
 
 TEST(TraceV2, RejectsTruncatedVarints) {
-  const io::Trace t = random_trace(2000, 40, 3);
-  const std::string bytes = bytes_of(t, io::TraceFormat::kV2);
+  const std::string bytes = file_bytes(source_path(kGoldenV2Path));
   // Every cut inside the payload must throw, never mis-decode: varints cut
   // mid-byte-sequence, ops cut between their two varints, all of it.
   for (std::size_t cut = 24; cut < bytes.size(); cut += 3) {
@@ -159,8 +162,7 @@ TEST(TraceV2, RejectsTruncatedVarints) {
 }
 
 TEST(TraceV2, RejectsCorruptedHeaders) {
-  const io::Trace t = random_trace(100, 10, 4);
-  const std::string good = bytes_of(t, io::TraceFormat::kV2);
+  const std::string good = file_bytes(source_path(kGoldenV2Path));
 
   {  // bad magic
     std::string b = good;
@@ -189,8 +191,7 @@ TEST(TraceV2, RejectsCorruptedHeaders) {
 }
 
 TEST(TraceV2, RejectsOpCountMismatches) {
-  const io::Trace t = random_trace(100, 10, 4);
-  const std::string good = bytes_of(t, io::TraceFormat::kV2);
+  const std::string good = file_bytes(source_path(kGoldenV2Path));
   {  // declared count larger than the payload holds -> truncation
     std::string b = good;
     b[16] = static_cast<char>(static_cast<unsigned char>(b[16]) + 1);
@@ -262,8 +263,7 @@ TEST(TraceV2, SaveRefusesOpsOutsideTheVertexUniverse) {
   t.num_vertices = 4;
   t.ops = {Op::add(1, 9)};
   std::stringstream ss;
-  EXPECT_THROW(io::save_trace(t, ss, io::TraceFormat::kV2),
-               std::runtime_error);
+  EXPECT_THROW(io::save_trace(t, ss), std::runtime_error);
 }
 
 // --- golden traces: the on-disk formats are pinned against drift -----------
@@ -279,8 +279,8 @@ constexpr std::size_t kGoldenOps = 400;
 constexpr uint64_t kGoldenFnv = 0xe578f352b82923c6ULL;
 
 const GoldenExpectation kGolden[] = {
-    {"tests/data/golden_v1.dctr", 1, 20 + 9 * kGoldenOps},
-    {"tests/data/golden_v2.dctr", 2, 1053},
+    {kGoldenV1Path, 1, 20 + 9 * kGoldenOps},
+    {kGoldenV2Path, 2, 1053},
 };
 
 TEST(GoldenTrace, BothVersionsDecodeToThePinnedOps) {
@@ -301,6 +301,9 @@ TEST(GoldenTrace, BothVersionsDecodeToThePinnedOps) {
     EXPECT_EQ(info.version, g.version);
     EXPECT_EQ(info.file_bytes, g.file_size) << g.path;
     EXPECT_EQ(info.ops, kGoldenOps);
+    // The declared op count must consume the whole file in every version.
+    std::stringstream trailing(file_bytes(source_path(g.path)) + "xyz");
+    EXPECT_THROW(io::load_trace(trailing), std::runtime_error) << g.path;
   }
 }
 
@@ -315,10 +318,8 @@ TEST(GoldenTrace, V3DecodesToThePinnedOps) {
   EXPECT_EQ(t.num_vertices, kGoldenVertices);
   ASSERT_EQ(t.ops.size(), kGoldenOps);
   EXPECT_EQ(trace_fnv(t), kGoldenV3Fnv);
-  EXPECT_TRUE(io::needs_v3(t));
   // Byte-exact re-encode: encoder drift fails here.
-  EXPECT_EQ(bytes_of(t, io::TraceFormat::kV3),
-            file_bytes(source_path(kGoldenV3Path)));
+  EXPECT_EQ(bytes_of(t), file_bytes(source_path(kGoldenV3Path)));
   const io::TraceFileInfo info = io::trace_info_file(source_path(kGoldenV3Path));
   EXPECT_EQ(info.version, io::kTraceVersionV3);
   EXPECT_EQ(info.ops, kGoldenOps);
@@ -336,16 +337,6 @@ TEST(GoldenTrace, V3ReplaysAgainstTheDsuOracleOnEveryVariant) {
   }
 }
 
-TEST(GoldenTrace, WritersReproduceTheCheckedInBytes) {
-  // Encoder drift detector: saving the golden ops must reproduce the
-  // checked-in files byte for byte, in both formats.
-  const io::Trace t = io::load_trace_file(source_path(kGolden[0].path));
-  EXPECT_EQ(bytes_of(t, io::TraceFormat::kV1),
-            file_bytes(source_path(kGolden[0].path)));
-  EXPECT_EQ(bytes_of(t, io::TraceFormat::kV2),
-            file_bytes(source_path(kGolden[1].path)));
-}
-
 TEST(GoldenTrace, ReplaysAgainstTheDsuOracleOnEveryVariant) {
   const io::Trace t = io::load_trace_file(source_path(kGolden[1].path));
   Oracle oracle(t.num_vertices);
@@ -361,34 +352,16 @@ TEST(GoldenTrace, ReplaysAgainstTheDsuOracleOnEveryVariant) {
 TEST(TraceV3, RoundTripsTheValueVocabulary) {
   for (const uint64_t seed : {2ull, 77ull}) {
     const io::Trace t = random_value_trace(5000, 700, seed);
-    EXPECT_TRUE(io::needs_v3(t));
-    EXPECT_EQ(io::preferred_format(t), io::TraceFormat::kV3);
     std::stringstream ss;
-    io::save_trace(t, ss, io::TraceFormat::kV3);
+    io::save_trace(t, ss);
     EXPECT_EQ(io::load_trace(ss), t);
   }
-  // Boolean-vocabulary traces stay on v2 but still round-trip through v3.
+  // Boolean-vocabulary traces are written as v3 too.
   const io::Trace plain = random_trace(300, 200, 5);
-  EXPECT_FALSE(io::needs_v3(plain));
-  EXPECT_EQ(io::preferred_format(plain), io::TraceFormat::kV2);
   std::stringstream ss;
-  io::save_trace(plain, ss, io::TraceFormat::kV3);
+  io::save_trace(plain, ss);
+  EXPECT_EQ(ss.str()[4], static_cast<char>(io::kTraceVersionV3));
   EXPECT_EQ(io::load_trace(ss), plain);
-}
-
-TEST(TraceV3, OlderWritersRefuseValueKinds) {
-  io::Trace t;
-  t.num_vertices = 8;
-  t.ops = {Op::add(0, 1), Op::component_size(1)};
-  for (const io::TraceFormat f :
-       {io::TraceFormat::kV1, io::TraceFormat::kV2}) {
-    std::stringstream ss;
-    EXPECT_THROW(io::save_trace(t, ss, f), std::runtime_error)
-        << "format v" << static_cast<uint32_t>(f);
-  }
-  std::stringstream ok;
-  io::save_trace(t, ok, io::preferred_format(t));  // v3 accepts
-  EXPECT_EQ(io::load_trace(ok), t);
 }
 
 TEST(TraceV3, RejectsBadKindBits) {
@@ -426,7 +399,7 @@ TEST(TraceV3, RejectsBadKindBits) {
 
 TEST(TraceV3, TruncationAndCountMismatchStayStrict) {
   const io::Trace t = random_value_trace(2000, 40, 3);
-  const std::string bytes = bytes_of(t, io::TraceFormat::kV3);
+  const std::string bytes = bytes_of(t);
   for (std::size_t cut = 24; cut < bytes.size(); cut += 3) {
     std::stringstream ss(bytes.substr(0, cut));
     EXPECT_THROW(io::load_trace(ss), std::runtime_error) << "cut at " << cut;
@@ -465,15 +438,13 @@ TEST(TraceV3, ReadSynthesisHitsTheTargetShare) {
   }
   EXPECT_NEAR(100.0 * reads / mixed.ops.size(), 80.0, 2.0);
   EXPECT_EQ(value_reads, 0u);  // without --size-queries: connected only
-  EXPECT_EQ(io::preferred_format(mixed), io::TraceFormat::kV2);
   // Updates survive in order.
   std::vector<Op> kept;
   for (const Op& op : mixed.ops)
     if (is_update(op.kind)) kept.push_back(op);
   EXPECT_EQ(kept, updates.ops);
 
-  // With size queries the probe rotation emits all three query kinds and
-  // the trace needs v3.
+  // With size queries the probe rotation emits all three query kinds.
   const io::Trace sized = io::synthesize_reads(updates, 80, true, 7);
   uint64_t size_q = 0, rep_q = 0, conn_q = 0;
   for (const Op& op : sized.ops) {
@@ -484,7 +455,6 @@ TEST(TraceV3, ReadSynthesisHitsTheTargetShare) {
   EXPECT_GT(size_q, 0u);
   EXPECT_GT(rep_q, 0u);
   EXPECT_GT(conn_q, 0u);
-  EXPECT_EQ(io::preferred_format(sized), io::TraceFormat::kV3);
   // Deterministic per seed; replays against the oracle on two variants.
   EXPECT_EQ(io::synthesize_reads(updates, 80, true, 7), sized);
   Oracle oracle(sized.num_vertices);
@@ -608,7 +578,7 @@ TEST(TemporalSnap, QueryProbesAreSeededAndLiveOnly) {
 
 TEST(TemporalSnap, CheckedInSampleConvertsBelowThreeBytesPerOp) {
   // The acceptance bar the CI job also enforces through trace_convert: the
-  // shipped SNAP sample compresses to <= 3 bytes/op in DCTR v2, and its
+  // shipped SNAP sample compresses to <= 3 bytes/op in DCTR v3, and its
   // replay agrees with the sequential oracle on every variant.
   const auto events =
       io::load_temporal_snap_file(source_path("data/sample_temporal.txt"));
@@ -623,7 +593,7 @@ TEST(TemporalSnap, CheckedInSampleConvertsBelowThreeBytesPerOp) {
   const std::string path = ::testing::TempDir() + "sample_converted.dctr";
   io::save_trace_file(t, path);
   const io::TraceFileInfo info = io::trace_info_file(path);
-  EXPECT_EQ(info.version, io::kTraceVersionV2);
+  EXPECT_EQ(info.version, io::kTraceVersionV3);
   EXPECT_GT(info.removes, 0u);
   EXPECT_GT(info.queries, 0u);
   EXPECT_LE(info.bytes_per_op, 3.0);

@@ -2,15 +2,18 @@
 // byte streams, the ops/results/status payload round trips, and the strict
 // decode contract it shares with the DCTR v2/v3 readers — truncated varints,
 // bad op kinds, out-of-range vertices, corrupt counts and trailing bytes are
-// all rejected with std::runtime_error, never silently repaired.
+// all rejected with std::runtime_error, never silently repaired — and the
+// one op payload encoding that frames and DCTR v3 traces share.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
 #include <span>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "graph/io.hpp"
 #include "graph/wire.hpp"
 
 namespace condyn {
@@ -81,6 +84,30 @@ TEST(Wire, OpsRoundTripRandom) {
     ASSERT_TRUE(f.has_value());
     EXPECT_EQ(wire::decode_ops(f->payload, kN), ops);
   }
+}
+
+TEST(Wire, OpsPayloadIsTheDctrV3Payload) {
+  // All five kinds, u and v deltas of both signs, vertices 0 and n-1.
+  constexpr Vertex kN = 4096;
+  io::Trace t;
+  t.num_vertices = kN;
+  t.ops = {Op::add(0, kN - 1),       Op::remove(kN - 1, 0),
+           Op::connected(17, 3),     Op::component_size(kN - 1),
+           Op::representative(0),    Op::add(5, 900),
+           Op::connected(kN - 1, kN - 1)};
+  std::stringstream ss;
+  io::save_trace(t, ss);
+  const std::string file = ss.str();
+  ASSERT_GT(file.size(), 24u);
+  const std::vector<uint8_t> trace_payload(file.begin() + 24, file.end());
+
+  std::vector<uint8_t> frame;
+  wire::encode_ops_frame(t.ops, frame);
+  // Below 128 ops the count varint is the single byte after the header.
+  ASSERT_EQ(frame.at(wire::kHeaderBytes), t.ops.size());
+  const std::vector<uint8_t> frame_payload(
+      frame.begin() + wire::kHeaderBytes + 1, frame.end());
+  EXPECT_EQ(frame_payload, trace_payload);
 }
 
 TEST(Wire, EmptyOpsFrameIsValid) {

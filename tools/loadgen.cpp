@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
 
   if (!a.make_trace.empty()) {
     const io::Trace t = synthesize_trace(a);
-    io::save_trace_file(t, a.make_trace, io::preferred_format(t));
+    io::save_trace_file(t, a.make_trace);
     std::printf("loadgen: wrote %zu ops over %u vertices to %s\n",
                 t.ops.size(), t.num_vertices, a.make_trace.c_str());
     return 0;

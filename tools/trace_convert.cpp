@@ -13,13 +13,12 @@
 //       --size-queries with --reads: probes rotate connected /
 //                      component_size / representative (emits DCTR v3)
 //       --seed S       probe endpoint RNG seed (default 42)
-//       --v1           write the uncompressed v1 format instead of v2/v3
 //   trace_convert info <trace.dctr>
 //       print header fields, op mix and bytes/op (strict decode: a corrupt
 //       trace fails here instead of at replay time)
-//   trace_convert recompress <in.dctr> <out.dctr> [--v1] [--reads P]
+//   trace_convert recompress <in.dctr> <out.dctr> [--reads P]
 //                                                 [--size-queries] [--seed S]
-//       re-encode a trace between versions; without --reads ops are
+//       re-encode a trace of any version as v3; without --reads ops are
 //       preserved exactly, with it reads are synthesized as in convert
 //   trace_convert snapshot <snap.dcsn> [out.dctr]
 //       inspect a DCSN ingest snapshot (DESIGN.md §11.3): applied_seq,
@@ -27,9 +26,8 @@
 //       embedded live-edge trace as a standalone DCTR file — a crash
 //       snapshot becomes a prefill/replay workload for any scenario
 //
-// Output format: v1 with --v1 (rejected if the trace holds value queries),
-// otherwise v2 — upgraded automatically to v3 when the trace contains
-// component_size / representative ops (io::preferred_format).
+// Output format: DCTR v3, the only version the writer produces; info and
+// recompress read v1, v2 and v3.
 // Subcommands also accept the --info / --recompress spellings.
 #include <cstdio>
 #include <cstring>
@@ -50,9 +48,9 @@ int usage() {
       stderr,
       "usage: trace_convert convert <in.txt> <out.dctr>\n"
       "         [--dedup] [--window N] [--queries N] [--reads P]\n"
-      "         [--size-queries] [--seed S] [--v1]\n"
+      "         [--size-queries] [--seed S]\n"
       "       trace_convert info <trace.dctr>\n"
-      "       trace_convert recompress <in.dctr> <out.dctr> [--v1]\n"
+      "       trace_convert recompress <in.dctr> <out.dctr>\n"
       "         [--reads P] [--size-queries] [--seed S]\n"
       "       trace_convert snapshot <snap.dcsn> [out.dctr]\n");
   return 2;
@@ -126,11 +124,6 @@ io::Trace apply_read_synth(io::Trace t, const ReadSynth& rs) {
                               rs.size_queries, rs.seed);
 }
 
-void save(const io::Trace& t, const std::string& path, bool v1) {
-  io::save_trace_file(t, path,
-                      v1 ? io::TraceFormat::kV1 : io::preferred_format(t));
-}
-
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
   std::string cmd = argv[1];
@@ -144,12 +137,11 @@ int run(int argc, char** argv) {
   }
 
   if (cmd == "recompress") {
-    const bool v1 = flag(args, "--v1");
     const ReadSynth rs = read_synth_flags(args);
     if (args.size() != 2) return usage();
     const io::Trace t =
         apply_read_synth(io::load_trace_file(args[0]), rs);
-    save(t, args[1], v1);
+    io::save_trace_file(t, args[1]);
     std::printf("recompressed %zu ops: %s -> %s\n", t.ops.size(),
                 args[0].c_str(), args[1].c_str());
     print_info(args[1]);
@@ -165,7 +157,7 @@ int run(int argc, char** argv) {
     std::printf("  vertices:     %u\n", s.edges.num_vertices);
     std::printf("  live edges:   %zu\n", s.edges.ops.size());
     if (args.size() == 2) {
-      io::save_trace_file(s.edges, args[1], io::preferred_format(s.edges));
+      io::save_trace_file(s.edges, args[1]);
       std::printf("extracted live-edge trace -> %s\n", args[1].c_str());
       print_info(args[1]);
     }
@@ -174,7 +166,6 @@ int run(int argc, char** argv) {
 
   if (cmd == "convert") {
     io::ConvertOptions opts;
-    const bool v1 = flag(args, "--v1");
     opts.dedup = flag(args, "--dedup");
     uint64_t window = 0, queries = 0;
     value_flag(args, "--window", &window);
@@ -189,7 +180,7 @@ int run(int argc, char** argv) {
       throw std::runtime_error(args[0] + " holds no temporal edges");
     const io::Trace t =
         apply_read_synth(io::temporal_to_trace(events, opts), rs);
-    save(t, args[1], v1);
+    io::save_trace_file(t, args[1]);
     std::printf("converted %zu events -> %zu ops, |V|=%u: %s\n",
                 events.size(), t.ops.size(), t.num_vertices, args[1].c_str());
     print_info(args[1]);
