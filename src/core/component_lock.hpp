@@ -7,6 +7,14 @@
 
 namespace condyn {
 
+/// The lock-free find_root of a level-0 vertex node, as the level-0 vertex
+/// node that carries the component lock. A find_root from a vertex node
+/// only ever climbs to vertex nodes (see Node::as_level0), so a candidate
+/// is never an arc.
+inline ett::Level0Vertex* candidate_root(ett::Node* x) noexcept {
+  return &ett::find_root(x)->as_level0();
+}
+
 /// Per-component fine-grained locking (paper Listing 2).
 ///
 /// Components are represented by their level-0 Cartesian tree roots. An
@@ -25,10 +33,10 @@ class ComponentGuard {
     ett::Node* nu = f0.vertex_node(u);
     ett::Node* nv = f0.vertex_node(v);
     for (;;) {
-      ett::Node* ru = ett::find_root(nu);
-      ett::Node* rv = ett::find_root(nv);
-      ett::Node* lo = ru <= rv ? ru : rv;  // consistent lock ordering
-      ett::Node* hi = ru <= rv ? rv : ru;
+      ett::Level0Vertex* ru = candidate_root(nu);
+      ett::Level0Vertex* rv = candidate_root(nv);
+      ett::Level0Vertex* lo = ru <= rv ? ru : rv;  // consistent lock ordering
+      ett::Level0Vertex* hi = ru <= rv ? rv : ru;
       lo->lock.lock();
       if (hi != lo) hi->lock.lock();
       // Listing 2's re-check: the locked nodes must still be roots and must
@@ -62,8 +70,8 @@ class ComponentGuard {
   bool same_component() const noexcept { return a_ == b_; }
 
  private:
-  ett::Node* a_ = nullptr;
-  ett::Node* b_ = nullptr;
+  ett::Level0Vertex* a_ = nullptr;
+  ett::Level0Vertex* b_ = nullptr;
 };
 
 /// Shared (read) ownership used by variant (7): take both root locks in
@@ -75,10 +83,10 @@ class SharedComponentGuard {
     ett::Node* nu = f0.vertex_node(u);
     ett::Node* nv = f0.vertex_node(v);
     for (;;) {
-      ett::Node* ru = ett::find_root(nu);
-      ett::Node* rv = ett::find_root(nv);
-      ett::Node* lo = ru <= rv ? ru : rv;
-      ett::Node* hi = ru <= rv ? rv : ru;
+      ett::Level0Vertex* ru = candidate_root(nu);
+      ett::Level0Vertex* rv = candidate_root(nv);
+      ett::Level0Vertex* lo = ru <= rv ? ru : rv;
+      ett::Level0Vertex* hi = ru <= rv ? rv : ru;
       lo->lock.lock_shared();
       if (hi != lo) hi->lock.lock_shared();
       if (ru->parent.load(std::memory_order_acquire) == nullptr &&
@@ -111,8 +119,8 @@ class SharedComponentGuard {
   ett::Node* second() const noexcept { return b_; }
 
  private:
-  ett::Node* a_ = nullptr;
-  ett::Node* b_ = nullptr;
+  ett::Level0Vertex* a_ = nullptr;
+  ett::Level0Vertex* b_ = nullptr;
   bool connected_ = false;
 };
 

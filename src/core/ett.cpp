@@ -13,22 +13,38 @@ namespace condyn::ett {
 
 namespace {
 
-/// Tour nodes come from the cacheline-strided pool (DESIGN.md §7.1): link()
-/// and cut() recycle arc nodes through the EBR grace period instead of
-/// paying the general-purpose allocator per spanning update.
+/// Tour nodes come from cacheline-strided pools (DESIGN.md §7.1): arcs and
+/// upper-level vertex nodes from the one-line pool, level-0 vertex nodes
+/// from the two-line one. link() and cut() recycle arc nodes through the
+/// EBR grace period instead of paying the general-purpose allocator per
+/// spanning update.
 NodePool<Node, kCacheLine>& node_pool() {
   return NodePool<Node, kCacheLine>::instance();
 }
+NodePool<Level0Vertex, kCacheLine>& level0_pool() {
+  return NodePool<Level0Vertex, kCacheLine>::instance();
+}
 
-constexpr uint64_t kVertexPriorityBit = uint64_t{1} << 63;
+/// Recycle a node no reader can still hold, through the pool of its type.
+void destroy_node(Node* x) {
+  if (x == nullptr) return;
+  if (x->kind == Node::Kind::kLevel0Vertex)
+    level0_pool().destroy(&x->as_level0());
+  else
+    node_pool().destroy(x);
+}
+
+constexpr uint32_t kVertexPriorityBit = uint32_t{1} << 31;
 
 /// Vertex priorities live in the top half, arc priorities in the bottom half,
 /// so the max-priority node of any tour — its treap root — is always a
 /// vertex node. See the Forest class comment for why that matters.
-uint64_t draw_vertex_priority() noexcept {
-  return kVertexPriorityBit | (thread_rng().next() >> 1);
+uint32_t draw_vertex_priority() noexcept {
+  return kVertexPriorityBit | static_cast<uint32_t>(thread_rng().next() >> 33);
 }
-uint64_t draw_arc_priority() noexcept { return thread_rng().next() >> 1; }
+uint32_t draw_arc_priority() noexcept {
+  return static_cast<uint32_t>(thread_rng().next() >> 33);
+}
 
 uint32_t sz(const Node* x) noexcept { return x ? x->size : 0; }
 // vstat is written by the structure's writer only; relaxed is enough on the
@@ -53,9 +69,9 @@ bool local_ns(const Node* x) noexcept {
   return x->local_nonspanning.load(std::memory_order_seq_cst) != 0;
 }
 
-// Node::partner tagging: tour nodes are pool cells aligned far beyond 2, so
-// bit 0 is free to say whether the partner is a committed cut's fresh piece
-// root (set) or a link's other root (clear).
+// Level0Vertex::partner tagging: tour nodes are pool cells aligned far
+// beyond 2, so bit 0 is free to say whether the partner is a committed cut's
+// fresh piece root (set) or a link's other root (clear).
 constexpr uintptr_t kCutPartner = 1;
 uintptr_t link_partner(const Node* other) noexcept {
   return reinterpret_cast<uintptr_t>(other);
@@ -74,8 +90,8 @@ uint64_t combine_vstat(uint64_t a, uint64_t b) noexcept {
 }
 
 /// find_root_versioned that, given a ChainRead, records the vertex ids on
-/// the way up and loads the root's vstat before its version. Vertex nodes'
-/// is_vertex/tail are written once at construction, before the node is
+/// the way up and loads the root's vstat before its version. Nodes'
+/// kind/tail are written once at construction, before the node is
 /// published via a release store, so these plain reads are race-free under
 /// the acquire chain + EBR pin.
 RootSnapshot ascend(const Node* start, ChainRead* c) noexcept {
@@ -83,7 +99,7 @@ RootSnapshot ascend(const Node* start, ChainRead* c) noexcept {
   std::size_t len = 0;
   const Node* cur = start;
   for (;;) {
-    if (cur->is_vertex && len < ChainRead::kCap) c->ids[len++] = cur->tail;
+    if (cur->is_vertex() && len < ChainRead::kCap) c->ids[len++] = cur->tail;
     const Node* p = cur->parent.load(std::memory_order_acquire);
     if (p == nullptr) break;
     cur = p;
@@ -99,7 +115,7 @@ RootSnapshot ascend(const Node* start, ChainRead* c) noexcept {
 void collect_ids(const Node* x, ChainRead* c) noexcept {
   if (x == nullptr) return;
   collect_ids(x->left, c);
-  if (x->is_vertex) c->ids[c->len++] = x->tail;
+  if (x->is_vertex()) c->ids[c->len++] = x->tail;
   collect_ids(x->right, c);
 }
 
@@ -140,21 +156,22 @@ void seal(ChainRead* c, const RootSnapshot& s) noexcept {
 /// after this one's even bump). False: retry.
 bool bracket_vstat(const Node* nu, const RootSnapshot& s,
                    uint64_t* out) noexcept {
-  const Node* r = s.root;
-  uint64_t w = r->frozen.load(std::memory_order_acquire);
-  const uintptr_t p = r->partner.load(std::memory_order_acquire);
+  const Level0Vertex& r = s.root->as_level0();
+  uint64_t w = r.frozen.load(std::memory_order_acquire);
+  const uintptr_t p = r.partner.load(std::memory_order_acquire);
   const Node* q = partner_node(p);
   if (q != nullptr && (p & kCutPartner) != 0) {
-    if (find_root_versioned(q).root != r) {
-      if (find_root_versioned(nu).root != r) return false;
-      w = r->vstat.load(std::memory_order_acquire);
+    if (find_root_versioned(q).root != &r) {
+      if (find_root_versioned(nu).root != &r) return false;
+      w = r.vstat.load(std::memory_order_acquire);
     }
   } else if (q != nullptr) {
-    const Node* lo = node_less(r, q) ? r : q;
+    const Node* lo = node_less(&r, q) ? &r : q;
     if (lo->parent.load(std::memory_order_acquire) != nullptr)
-      w = combine_vstat(w, q->frozen.load(std::memory_order_acquire));
+      w = combine_vstat(w,
+                        q->as_level0().frozen.load(std::memory_order_acquire));
   }
-  if (r->version.load(std::memory_order_acquire) != s.version) return false;
+  if (r.version.load(std::memory_order_acquire) != s.version) return false;
   *out = w;
   return true;
 }
@@ -272,8 +289,8 @@ void Forest::pull(Node* x) noexcept {
   const uint64_t l = vs(x->left);
   const uint64_t r = vs(x->right);
   const uint32_t count =
-      (x->is_vertex ? 1 : 0) + Node::vstat_count(l) + Node::vstat_count(r);
-  Vertex mn = x->is_vertex ? x->tail : Node::kNoVertexSentinel;
+      (x->is_vertex() ? 1 : 0) + Node::vstat_count(l) + Node::vstat_count(r);
+  Vertex mn = x->is_vertex() ? x->tail : Node::kNoVertexSentinel;
   if (Node::vstat_min(l) < mn) mn = Node::vstat_min(l);
   if (Node::vstat_min(r) < mn) mn = Node::vstat_min(r);
   x->vstat.store(Node::pack_vstat(count, mn), std::memory_order_release);
@@ -383,7 +400,9 @@ Forest::Forest(Vertex n, int level)
     : n_(n),
       level_(level),
       nodes_(std::make_unique<std::atomic<Node*>[]>(n)),
-      arcs_(n) {  // a spanning forest holds at most n-1 arc pairs
+      // Level 0 holds up to n-1 arc pairs; level i's trees hold at most
+      // n / 2^i vertices each and far fewer pairs reach it in practice.
+      arcs_(n >> level) {
   for (Vertex i = 0; i < n; ++i)
     nodes_[i].store(nullptr, std::memory_order_relaxed);
 }
@@ -395,24 +414,24 @@ Forest::~Forest() {
     node_pool().destroy(p.vu);
   });
   for (Vertex i = 0; i < n_; ++i)
-    node_pool().destroy(nodes_[i].load(std::memory_order_relaxed));
+    destroy_node(nodes_[i].load(std::memory_order_relaxed));
 }
 
 Node* Forest::new_vertex_node(Vertex v) {
-  Node* x = node_pool().create();
+  const bool level0 = level_ == 0;
+  Node* x = level0 ? level0_pool().create() : node_pool().create();
+  x->kind = level0 ? Node::Kind::kLevel0Vertex : Node::Kind::kVertex;
   x->priority = draw_vertex_priority();
   x->tail = x->head = v;
-  x->is_vertex = true;
   x->vstat.store(Node::pack_vstat(1, v), std::memory_order_relaxed);
   return x;
 }
 
-Node* Forest::new_arc_node(Vertex t, Vertex h, uint64_t) {
-  Node* x = node_pool().create();
+Node* Forest::new_arc_node(Vertex t, Vertex h) {
+  Node* x = node_pool().create();  // kind stays kArc
   x->priority = draw_arc_priority();
   x->tail = t;
   x->head = h;
-  x->is_vertex = false;
   return x;
 }
 
@@ -427,7 +446,7 @@ Node* Forest::vertex_node(Vertex v) {
   }
   // Lost the creation race: nobody else can hold `fresh`, so it goes back
   // to the pool immediately (the seed heap-deleted here, bypassing reuse).
-  node_pool().destroy(fresh);
+  destroy_node(fresh);
   return cur;
 }
 
@@ -456,6 +475,7 @@ Vertex Forest::representative_writer(Vertex u) {
 }
 
 uint64_t Forest::root_vstat_nonblocking(Vertex u, ChainRead* chain) {
+  assert(level_ == 0 && "bracket state lives on level-0 vertex nodes only");
   auto guard = ebr::pin();
   const Node* nu = vertex_node(u);
   auto& st = op_stats::local();
@@ -498,10 +518,14 @@ void Forest::open_bracket(Node* root, uintptr_t partner) noexcept {
   // The frozen word and partner go first, so a reader that acquires the odd
   // version sees them. Release on both: a reader that loads a *later*
   // bracket's values synchronizes with them and so sees this bracket's even
-  // bump on its version re-read (bracket_vstat).
-  root->frozen.store(root->vstat.load(std::memory_order_relaxed),
-                     std::memory_order_release);
-  root->partner.store(partner, std::memory_order_release);
+  // bump on its version re-read (bracket_vstat). Value reads run on level 0
+  // only, so upper levels keep just the version protocol.
+  if (level_ == 0) {
+    Level0Vertex& r = root->as_level0();
+    r.frozen.store(r.vstat.load(std::memory_order_relaxed),
+                   std::memory_order_release);
+    r.partner.store(partner, std::memory_order_release);
+  }
   const uint64_t v = root->version.load(std::memory_order_relaxed);
   assert((v & 1) == 0 && "one bracket per root at a time");
   root->version.store(v + 1, std::memory_order_release);
@@ -535,10 +559,10 @@ void Forest::link(Vertex u, Vertex v) {
   open_bracket(lo, link_partner(hi));
   bool relabel = false;
   if (cache_ != nullptr) {
-    const uint64_t wh = cache_->invalidate(
-        Node::vstat_min(hi->frozen.load(std::memory_order_relaxed)));
-    const uint64_t wl = cache_->invalidate(
-        Node::vstat_min(lo->frozen.load(std::memory_order_relaxed)));
+    const uint64_t wh = cache_->invalidate(Node::vstat_min(
+        hi->as_level0().frozen.load(std::memory_order_relaxed)));
+    const uint64_t wl = cache_->invalidate(Node::vstat_min(
+        lo->as_level0().frozen.load(std::memory_order_relaxed)));
     relabel = LabelCache::was_live(wh) || LabelCache::was_live(wl);
   }
 
@@ -553,8 +577,8 @@ void Forest::link(Vertex u, Vertex v) {
   auto* pair = arcs_.get_or_create(Edge(u, v));
   assert(pair->uv == nullptr && pair->vu == nullptr &&
          "link precondition: edge not already in the forest");
-  Node* a1 = new_arc_node(u, v, 0);
-  Node* a2 = new_arc_node(v, u, 0);
+  Node* a1 = new_arc_node(u, v);
+  Node* a2 = new_arc_node(v, u);
   if (u <= v) {
     pair->uv = a1;
     pair->vu = a2;
@@ -602,7 +626,8 @@ Forest::CutHandle Forest::cut_prepare(Vertex u, Vertex v) {
   Vertex cache_rep = 0;
   uint64_t cache_word = 0;
   if (cache_ != nullptr) {
-    cache_rep = Node::vstat_min(rt->frozen.load(std::memory_order_relaxed));
+    cache_rep = Node::vstat_min(
+        rt->as_level0().frozen.load(std::memory_order_relaxed));
     cache_word = cache_->invalidate(cache_rep);
   }
 
@@ -654,8 +679,10 @@ void Forest::cut_commit(CutHandle& h) {
   // reader that acquires the null store sees the rest.
   Node* fresh_root = (h.root_u == h.old_root) ? h.root_v : h.root_u;
   assert(fresh_root != h.old_root);
-  h.old_root->partner.store(cut_partner(fresh_root),
-                            std::memory_order_release);
+  if (level_ == 0) {
+    h.old_root->as_level0().partner.store(cut_partner(fresh_root),
+                                          std::memory_order_release);
+  }
   const uint64_t fv = fresh_root->version.load(std::memory_order_relaxed);
   fresh_root->version.store((fv | 1) + 1, std::memory_order_release);
   // Writer relabel (§8.2) of a warm component: the fresh piece is read
@@ -706,8 +733,8 @@ void Forest::cut_relink(CutHandle& h, Vertex x, Vertex y) {
   auto* pair = arcs_.get_or_create(Edge(x, y));
   assert(pair->uv == nullptr && pair->vu == nullptr &&
          "relink precondition: replacement not already in the forest");
-  Node* a1 = new_arc_node(x, y, 0);
-  Node* a2 = new_arc_node(y, x, 0);
+  Node* a1 = new_arc_node(x, y);
+  Node* a2 = new_arc_node(y, x);
   if (x <= y) {
     pair->uv = a1;
     pair->vu = a2;
@@ -786,8 +813,8 @@ std::size_t validate_rec(const Node* x) {
     cnt += validate_rec(c);
   }
   assert(x->size == 1 + sz(x->left) + sz(x->right));
-  assert(vc(x) == (x->is_vertex ? 1u : 0u) + vc(x->left) + vc(x->right));
-  assert(vmn(x) == std::min({x->is_vertex ? x->tail : Node::kNoVertexSentinel,
+  assert(vc(x) == (x->is_vertex() ? 1u : 0u) + vc(x->left) + vc(x->right));
+  assert(vmn(x) == std::min({x->is_vertex() ? x->tail : Node::kNoVertexSentinel,
                              vmn(x->left), vmn(x->right)}));
   assert(x->sub_level_arc ==
          (x->arc_at_level || sla(x->left) || sla(x->right)));
@@ -808,7 +835,7 @@ std::vector<const Node*> Forest::tour(Vertex u) {
 std::size_t Forest::validate(Vertex u) {
   Node* r = find_root(vertex_node(u));
   assert(r->parent.load(std::memory_order_relaxed) == nullptr);
-  assert(r->is_vertex && "root must be a vertex node");
+  assert(r->is_vertex() && "root must be a vertex node");
   return validate_rec(r);
 }
 

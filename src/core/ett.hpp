@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -17,6 +18,8 @@ class LabelCache;
 }
 
 namespace condyn::ett {
+
+struct Level0Vertex;
 
 /// Single-writer, multi-reader Euler Tour Tree (paper §3).
 ///
@@ -42,25 +45,21 @@ namespace condyn::ett {
 ///                    a commit gets the next even value before it unlinks;
 ///  I4 (reclamation)  removed arc nodes keep their stale parent pointers and
 ///                    are retired through EBR, never freed in place.
-struct Node {
+///
+/// One tour node is one cache line (DESIGN.md §7.1, §7.3): every field a
+/// lock-free reader ascends through or a treap step touches. Arcs and the
+/// vertex nodes of levels >= 1 are exactly this; level-0 vertex nodes, the
+/// roots that component locks, removal announcements and value reads use,
+/// add a second line of root-only state (Level0Vertex).
+struct alignas(kCacheLine) Node {
   // --- fields shared with lock-free readers --------------------------------
   // parent/version run under acquire/release (writers bump versions before
   // any physical store, every physical store is a release — the seqlock
   // double-collect of Listing 1 needs no cross-variable total order);
-  // sub_nonspanning/local_nonspanning/removal_op stay seq_cst because their
-  // protocols are store-load races. Full audit table: DESIGN.md §7.3.
+  // sub_nonspanning/local_nonspanning stay seq_cst because their protocol
+  // is a store-load race. Full audit table: DESIGN.md §7.3.
   std::atomic<Node*> parent{nullptr};
   std::atomic<uint64_t> version{0};
-  /// Subtree contains a vertex with adjacent non-spanning edges at this
-  /// level. Lock-free adders may set it to true bottom-up (Listing 6);
-  /// the writer recomputes it with the write-false-then-recheck discipline.
-  std::atomic<bool> sub_nonspanning{false};
-  /// Number of non-spanning edges adjacent to this vertex at this level
-  /// (authoritative "local" input of the flag; vertex nodes only).
-  std::atomic<uint32_t> local_nonspanning{0};
-  /// Per-component spanning-edge-removal announcement of the full algorithm
-  /// (Listing 5's `removal_op`, meaningful on roots only).
-  std::atomic<void*> removal_op{nullptr};
   /// Packed subtree statistics: high 32 bits = vertex-node count (component
   /// |V| at the root), low 32 bits = smallest vertex id in the subtree (the
   /// canonical representative at the root; kNoVertexSentinel for arc-only
@@ -71,14 +70,32 @@ struct Node {
   /// connected() (the version protocol, not store order, carries
   /// consistency; see component_size_nonblocking and DESIGN.md §7.3).
   std::atomic<uint64_t> vstat{kEmptyVstat};
-  /// Bracket state for lock-free value reads, meaningful on a root while its
-  /// version is odd: `frozen` is the root's vstat when the bracket opened,
-  /// `partner` the bracket's other root (tagged: a link's other root, or the
-  /// fresh piece root once a cut commits; 0 while a cut is pending or
-  /// relinking). Readers answer from them instead of the transient vstat
-  /// (DESIGN.md §5.4). Both are stored before the odd bump, with release.
-  std::atomic<uint64_t> frozen{kEmptyVstat};
-  std::atomic<uintptr_t> partner{0};
+
+  // --- writer-only fields ---------------------------------------------------
+  Node* left = nullptr;
+  Node* right = nullptr;
+  /// Top bit set for vertex nodes (see Forest docs). 32 bits suffice:
+  /// node_less breaks ties by address, so the order stays strict.
+  uint32_t priority = 0;
+  uint32_t size = 1;       ///< subtree node count (order statistics)
+  Vertex tail = 0;         ///< vertex nodes: the vertex; arcs: edge tail
+  Vertex head = 0;         ///< vertex nodes: == tail; arcs: edge head
+
+  // --- flag inputs (lock-free adders and the writer) ------------------------
+  /// Number of non-spanning edges adjacent to this vertex at this level
+  /// (authoritative "local" input of the flag; vertex nodes only).
+  std::atomic<uint32_t> local_nonspanning{0};
+  /// Subtree contains a vertex with adjacent non-spanning edges at this
+  /// level. Lock-free adders may set it to true bottom-up (Listing 6);
+  /// the writer recomputes it with the write-false-then-recheck discipline.
+  std::atomic<bool> sub_nonspanning{false};
+
+  /// What the node is, and so which pool cell it lives in. Set once, before
+  /// the node is published; readers read it on every ascent.
+  enum class Kind : uint8_t { kArc, kVertex, kLevel0Vertex };
+  Kind kind = Kind::kArc;
+  bool arc_at_level = false;  ///< arc whose edge level == this forest's level
+  bool sub_level_arc = false; ///< subtree contains such an arc
 
   static constexpr Vertex kNoVertexSentinel = ~Vertex{0};  ///< arc-only subtree
   static constexpr uint64_t kEmptyVstat = kNoVertexSentinel;  // count 0
@@ -92,28 +109,50 @@ struct Node {
     return static_cast<Vertex>(s);
   }
 
-  // --- writer-only fields ---------------------------------------------------
-  Node* left = nullptr;
-  Node* right = nullptr;
-  uint64_t priority = 0;   ///< top bit set for vertex nodes (see Forest docs)
-  uint32_t size = 1;       ///< subtree node count (order statistics)
-  Vertex tail = 0;         ///< vertex nodes: the vertex; arcs: edge tail
-  Vertex head = 0;         ///< vertex nodes: == tail; arcs: edge head
-  bool is_vertex = false;
-  bool arc_at_level = false;  ///< arc whose edge level == this forest's level
-  bool sub_level_arc = false; ///< subtree contains such an arc
+  bool is_vertex() const noexcept { return kind != Kind::kArc; }
 
-  /// Per-component lock for the fine-grained variants (valid on any node;
-  /// only ever taken on (candidate) roots, per Listing 2). A readers–writer
-  /// lock so variant (7) can take it in shared mode for queries.
-  RwSpinLock lock;
-
-  bool is_arc() const noexcept { return !is_vertex; }
+  /// The root-only state of a level-0 vertex node — the one way to reach
+  /// it. Every parent of a vertex node is a vertex node (vertex priorities
+  /// lie above all arc priorities, and parents are higher), so a find_root
+  /// that starts at a level-0 vertex node always ends at one.
+  Level0Vertex& as_level0() noexcept;
+  const Level0Vertex& as_level0() const noexcept;
 };
 
-// Tour nodes live in a 2-cache-line pool stride (DESIGN.md §7.1); a node
-// that outgrows it silently raises every structure's resident size.
-static_assert(sizeof(Node) <= 2 * kCacheLine, "ett::Node outgrew its stride");
+static_assert(sizeof(Node) == kCacheLine, "ett::Node must fill one line");
+
+/// A level-0 vertex node: the tour node plus the state only a component's
+/// root uses, in a second cache line (128-B pool stride).
+struct Level0Vertex final : Node {
+  /// Per-component lock for the fine-grained variants (only ever taken on
+  /// (candidate) roots, per Listing 2). A readers–writer lock so variant
+  /// (7) can take it in shared mode for queries.
+  RwSpinLock lock;
+  /// Per-component spanning-edge-removal announcement of the full algorithm
+  /// (Listing 5's `removal_op`, meaningful on roots only). seq_cst: its
+  /// protocol is a store-load race (DESIGN.md §7.3).
+  std::atomic<void*> removal_op{nullptr};
+  /// Bracket state for lock-free value reads, meaningful on a root while its
+  /// version is odd: `frozen` is the root's vstat when the bracket opened,
+  /// `partner` the bracket's other root (tagged: a link's other root, or the
+  /// fresh piece root once a cut commits; 0 while a cut is pending or
+  /// relinking). Readers answer from them instead of the transient vstat
+  /// (DESIGN.md §5.4). Both are stored before the odd bump, with release.
+  std::atomic<uint64_t> frozen{kEmptyVstat};
+  std::atomic<uintptr_t> partner{0};
+};
+
+static_assert(sizeof(Level0Vertex) == 2 * kCacheLine,
+              "level-0 vertex nodes fill two lines");
+
+inline Level0Vertex& Node::as_level0() noexcept {
+  assert(kind == Kind::kLevel0Vertex && "root state on a non-level-0 node");
+  return static_cast<Level0Vertex&>(*this);
+}
+inline const Level0Vertex& Node::as_level0() const noexcept {
+  assert(kind == Kind::kLevel0Vertex && "root state on a non-level-0 node");
+  return static_cast<const Level0Vertex&>(*this);
+}
 
 /// Strict total order on (priority, address); "parent must be higher".
 inline bool node_less(const Node* a, const Node* b) noexcept {
@@ -165,13 +204,21 @@ void set_flags_up(Node* x) noexcept;
 
 /// One Euler-tour forest (one level of the HDT structure).
 ///
-/// Priorities: vertex nodes draw from [2^63, 2^64), arc nodes from [0, 2^63),
+/// Priorities: vertex nodes draw from [2^31, 2^32), arc nodes from [0, 2^31),
 /// which guarantees the root of a component is always a vertex node. That
 /// yields (a) stable roots under edge insertion (the post-link root is one of
 /// the two pre-link roots, as required by invariant I3), and (b) removed arc
 /// nodes are never roots, so a split has exactly one new root.
+///
+/// Only a level-0 forest's vertex nodes are Level0Vertex: bracket state
+/// (frozen/partner) is kept only there, since lock-free value reads and the
+/// label cache only ever consult level 0; upper levels still bump versions.
 class Forest {
  public:
+  /// `level` sizes the arc map: a level-0 forest presizes for n arc pairs, a
+  /// level-i forest for n >> i (its trees hold at most n / 2^i vertices and
+  /// in practice far fewer edges reach it). The map grows by segments past
+  /// that.
   explicit Forest(Vertex n, int level = 0);
   ~Forest();
   Forest(const Forest&) = delete;
@@ -257,7 +304,8 @@ class Forest {
   /// stable; an odd one answers from the bracket's frozen word and
   /// partner, after the second ascent proved u's chain still ends at that
   /// root. With `chain`, the second ascent also collects u's chain
-  /// (publishable iff the version was even). Pins EBR internally.
+  /// (publishable iff the version was even). Pins EBR internally. Level-0
+  /// forests only: the bracket state lives on Level0Vertex.
   uint64_t root_vstat_nonblocking(Vertex u, ChainRead* chain = nullptr);
 
   /// Writer: mark/unmark the (u,v) arc pair as "level arc" (the edge's level
@@ -308,7 +356,7 @@ class Forest {
   };
 
   Node* new_vertex_node(Vertex v);
-  Node* new_arc_node(Vertex t, Vertex h, uint64_t max_priority);
+  Node* new_arc_node(Vertex t, Vertex h);
 
   static void set_parent(Node* child, Node* p) noexcept;
   static void pull(Node* x) noexcept;
@@ -323,9 +371,9 @@ class Forest {
   /// Rotate u's tour so it starts at u; returns the (unchanged) root.
   Node* reroot(Node* u_node) noexcept;
 
-  /// Bracket hooks (I3): record the frozen word and partner, then bump odd;
-  /// close bumps even.
-  static void open_bracket(Node* root, uintptr_t partner) noexcept;
+  /// Bracket hooks (I3): at level 0 record the frozen word and partner,
+  /// then bump odd; close bumps even.
+  void open_bracket(Node* root, uintptr_t partner) noexcept;
   static void close_bracket(Node* root) noexcept;
 
   Vertex n_;

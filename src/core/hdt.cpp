@@ -223,7 +223,7 @@ bool Hdt::search_replacement(int i, Node* x, Node* other_root, Edge* out) {
   if (x == nullptr || !x->sub_nonspanning.load(std::memory_order_seq_cst))
     return false;
   bool found = false;
-  if (x->is_vertex &&
+  if (x->is_vertex() &&
       x->local_nonspanning.load(std::memory_order_seq_cst) > 0) {
     const Vertex a = x->tail;
     AdjSet* rec = adj_[i].find(a);
@@ -256,7 +256,7 @@ bool Hdt::sample_scan(int i, Node* x, Node* other_root, Edge* out,
   if (x == nullptr || budget <= 0 ||
       !x->sub_nonspanning.load(std::memory_order_seq_cst))
     return false;
-  if (x->is_vertex &&
+  if (x->is_vertex() &&
       x->local_nonspanning.load(std::memory_order_seq_cst) > 0) {
     AdjSet* rec = adj_[i].find(x->tail);
     if (rec != nullptr) {

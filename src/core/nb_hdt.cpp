@@ -325,9 +325,9 @@ bool NbHdt::try_add_non_spanning(const Edge& e, EdgeState init,
   // ordering Theorem 4.1's case analysis rests on.
   add_info(0, e);
 
-  Node* root = ett::find_root(forest0_->vertex_node(e.u));
-  auto* op =
-      static_cast<RemovalOp*>(root->removal_op.load(std::memory_order_seq_cst));
+  ett::Level0Vertex* root = candidate_root(forest0_->vertex_node(e.u));
+  auto* op = static_cast<RemovalOp*>(
+      root->removal_op.load(std::memory_order_seq_cst));
   if (op != nullptr) {
     if (can_be_replacement(op, e)) {
       RemovalOp::Cell winner;
@@ -508,7 +508,7 @@ void NbHdt::remove_spanning_edge(const Edge& e, EdgeState st,
     op->v = e.v;
     op->old_root = h.old_root;
     op->detached_root = (h.root_u == h.old_root) ? h.root_v : h.root_u;
-    h.old_root->removal_op.store(op, std::memory_order_seq_cst);
+    h.old_root->as_level0().removal_op.store(op, std::memory_order_seq_cst);
 
     // Lazy promotion (DESIGN.md §4.2). The flag is read only after the
     // descriptor is published: an adder raises flags and then loads
@@ -545,7 +545,8 @@ void NbHdt::remove_spanning_edge(const Edge& e, EdgeState st,
       rec->trace(24, 0, 0);  // split committed
 #endif
     }
-    h.old_root->removal_op.store(nullptr, std::memory_order_seq_cst);
+    h.old_root->as_level0().removal_op.store(nullptr,
+                                             std::memory_order_seq_cst);
     op_pool().retire(op);
   } else {
     // Replacement found above level 0: no descriptor was ever published, so
@@ -607,7 +608,7 @@ bool walk_flagged(Node* x, bool recalc, V&& visit) {
   if (x == nullptr || !x->sub_nonspanning.load(std::memory_order_seq_cst))
     return false;
   bool found = false;
-  if (x->is_vertex &&
+  if (x->is_vertex() &&
       x->local_nonspanning.load(std::memory_order_seq_cst) > 0) {
     found = visit(x);
   }

@@ -316,6 +316,8 @@ class ShardedEdgeMap {
   void erase(const Edge& e) { map_.erase(e.key()); }
   void clear() { map_.clear(); }
   std::size_t size() const { return map_.size(); }
+  std::size_t segments() const { return map_.segments(); }
+  std::size_t capacity() const { return map_.capacity(); }
 
   template <typename F>
   void for_each(F&& f) const {

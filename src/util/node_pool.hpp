@@ -48,8 +48,9 @@ namespace condyn {
 /// that lets a long-lived service's high-water churn footprint drain back
 /// down. Resident bytes are tracked in pool_stats::resident_bytes().
 ///
-/// `Align` selects the object stride: ett::Node uses kCacheLine so hot
-/// treap nodes never false-share; the small cells keep natural alignment
+/// `Align` selects the object stride: tour nodes use kCacheLine so hot
+/// treap nodes never false-share (ett::Node fills one line, ett::Level0Vertex
+/// two); the small cells keep natural alignment
 /// (a 16-byte cell per cache line would quadruple the footprint for no
 /// contention win — cells are written once and scanned).
 ///

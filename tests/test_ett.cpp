@@ -12,6 +12,18 @@
 #include "util/random.hpp"
 
 namespace condyn::ett {
+
+/// Reads a forest's arc map (a friend of Forest).
+class ForestTestPeer {
+ public:
+  static std::size_t arc_segments(const Forest& f) {
+    return f.arcs_.segments();
+  }
+  static std::size_t arc_capacity(const Forest& f) {
+    return f.arcs_.capacity();
+  }
+};
+
 namespace {
 
 // --------------------------------------------------------------------------
@@ -91,7 +103,7 @@ TEST(Ett, TourIsAValidEulerTour) {
   // Reconstruct the walk: vertex node = first visit; arcs move the cursor.
   Vertex cursor = tour.front()->tail;
   for (const Node* n : tour) {
-    if (n->is_vertex) {
+    if (n->is_vertex()) {
       EXPECT_EQ(n->tail, cursor);
     } else {
       EXPECT_EQ(n->tail, cursor);
@@ -113,6 +125,39 @@ TEST(Ett, VersionBumpsOnEveryModification) {
   const uint64_t vr = root->version.load();
   f.cut(0, 1);
   EXPECT_GT(n0->version.load() + n1->version.load(), vr);
+}
+
+// A level-i forest presizes its arc map for n >> i pairs; nothing but the
+// engines' usage bounds what it holds. Filled far past that (a spanning
+// path, 8x the presize at level 3), the map must grow by segments and the
+// tour stay intact.
+TEST(Ett, UpperLevelArcMapGrowsPastItsPresize) {
+  constexpr Vertex kN = 4096;
+  constexpr int kLevel = 3;
+  Forest f0(kN, 0);
+  Forest f(kN, kLevel);
+  for (Vertex v = 1; v < kN; ++v) {
+    f0.link(v - 1, v);
+    f.link(v - 1, v);
+  }
+  // Level 0 was sized for all of them; level 3 had to add segments, and
+  // still ends smaller.
+  EXPECT_GT(ForestTestPeer::arc_segments(f), ForestTestPeer::arc_segments(f0));
+  EXPECT_LT(ForestTestPeer::arc_capacity(f), ForestTestPeer::arc_capacity(f0));
+  for (Vertex v = 1; v < kN; ++v) ASSERT_TRUE(f.has_edge(v - 1, v)) << v;
+  EXPECT_EQ(f.validate(0), kN + 2 * (kN - 1));
+  EXPECT_EQ(f.component_vertices(kN - 1), kN);
+
+  // Cut every 8th edge, then relink; the grown map serves both.
+  for (Vertex v = 8; v < kN; v += 8) f.cut(v - 1, v);
+  for (Vertex v = 8; v < kN; v += 8) {
+    EXPECT_FALSE(f.has_edge(v - 1, v));
+    EXPECT_FALSE(f.connected_writer(v - 1, v));
+    EXPECT_EQ(f.validate(v), 8u + 2 * 7u);
+  }
+  for (Vertex v = 8; v < kN; v += 8) f.link(v - 1, v);
+  for (Vertex v = 1; v < kN; ++v) ASSERT_TRUE(f.has_edge(v - 1, v)) << v;
+  EXPECT_EQ(f.validate(kN / 2), kN + 2 * (kN - 1));
 }
 
 // --------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 // relabelling small components (§8.2) — and components() snapshots must
 // equal the DSU oracle on every variant, cache-backed or fallback.
 // This file is part of the TSan CI set: the chain-collecting ascents are
-// lock-free readers of the tour nodes' plain is_vertex/tail fields, and the
+// lock-free readers of the tour nodes' plain kind/tail fields, and the
 // hit path races structural brackets by design.
 #include <gtest/gtest.h>
 

@@ -156,6 +156,48 @@ TEST_P(NbHdtModes, CutBridgeLiftsCliqueSideTreeAndNonTreeEdges) {
   dc.check_invariants();
 }
 
+TEST_P(NbHdtModes, LevelOneForestFillsPastItsArcMapPresize) {
+  // kCycles rings of kRing vertices, each hung off hub 0 by one bridge.
+  // Cutting a bridge lifts its ring's tree edges and chord to level 1, and
+  // re-adding it keeps them there: F_1 ends with kCycles * (kRing - 1)
+  // arc pairs, past the n >> 1 its arc map was sized for (most of the
+  // map's shards grow a segment).
+  constexpr Vertex kCycles = 240, kRing = 16, kHub = 0;
+  const Vertex n = kCycles * kRing + 1;
+  NbHdt dc(n, GetParam().mode);
+  auto ring = [](Vertex c, Vertex i) { return 1 + c * kRing + i; };
+  for (Vertex c = 0; c < kCycles; ++c) {
+    for (Vertex i = 0; i + 1 < kRing; ++i)
+      dc.add_edge(ring(c, i), ring(c, i + 1));
+    dc.add_edge(ring(c, 0), ring(c, kRing - 1));  // chord: non-spanning
+    dc.add_edge(ring(c, kRing - 1), kHub);
+  }
+  for (Vertex c = 0; c < kCycles; ++c) {
+    ASSERT_TRUE(dc.remove_edge(ring(c, kRing - 1), kHub));
+    ASSERT_FALSE(dc.connected(ring(c, 0), kHub));
+    ASSERT_TRUE(dc.add_edge(ring(c, kRing - 1), kHub));
+  }
+  Vertex level1_pairs = 0;
+  for (Vertex c = 0; c < kCycles; ++c)
+    for (Vertex i = 0; i + 1 < kRing; ++i)
+      if (dc.is_spanning(ring(c, i), ring(c, i + 1)) &&
+          dc.edge_level(ring(c, i), ring(c, i + 1)) >= 1)
+        ++level1_pairs;
+  EXPECT_GT(level1_pairs, n >> 1);
+  dc.check_invariants();  // every spanning edge is in F_0..F_level
+  for (Vertex c = 0; c < kCycles; c += 7) {
+    EXPECT_TRUE(dc.connected(ring(c, 3), kHub));
+    EXPECT_EQ(dc.component_size(ring(c, 3)), n);
+  }
+  // The grown F_1 still serves cuts inside the rings: each is replaced at
+  // level 1 by the chord.
+  for (Vertex c = 0; c < kCycles; c += 5) {
+    ASSERT_TRUE(dc.remove_edge(ring(c, 7), ring(c, 8)));
+    EXPECT_TRUE(dc.connected(ring(c, 7), ring(c, 8)));
+  }
+  dc.check_invariants();
+}
+
 TEST_P(NbHdtModes, CutBridgeWithTreeSideKeepsEveryLevelZero) {
   // Star 0..3 (a tree) bridged by 0-4 to the ring 4..31, whose non-tree
   // edge lives only in the larger piece. Each cut skips level 0.

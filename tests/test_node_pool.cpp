@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <thread>
 #include <vector>
 
@@ -43,17 +45,50 @@ TEST(NodePool, CreateDestroyReusesStorage) {
   EXPECT_EQ(after.pool_reused - before.pool_reused, 1u);
 }
 
-TEST(NodePool, CachelineStrideForTreeNodes) {
-  if (!pool_stats::pooling_enabled()) GTEST_SKIP() << "DC_POOL=0";
-  using Pool = NodePool<ett::Node, kCacheLine>;
-  static_assert(Pool::stride() % kCacheLine == 0);
-  auto& pool = Pool::instance();
-  std::vector<ett::Node*> nodes;
+// Arcs and upper-level vertex nodes take one line each; level-0 vertex
+// nodes, which carry root-only state, take two (DESIGN.md §7.1).
+static_assert(NodePool<ett::Node, kCacheLine>::stride() == kCacheLine);
+static_assert(NodePool<ett::Level0Vertex, kCacheLine>::stride() ==
+              2 * kCacheLine);
+static_assert(alignof(ett::Level0Vertex) == kCacheLine);
+
+// Every field a reader ascends through or a treap step touches lies in the
+// node's first (and only) line.
+static_assert(std::is_standard_layout_v<ett::Node>);
+#define CONDYN_IN_FIRST_LINE(field)                                     \
+  static_assert(offsetof(ett::Node, field) + sizeof(ett::Node::field) <= \
+                    kCacheLine,                                         \
+                #field " left the node's first cache line")
+CONDYN_IN_FIRST_LINE(parent);
+CONDYN_IN_FIRST_LINE(version);
+CONDYN_IN_FIRST_LINE(vstat);
+CONDYN_IN_FIRST_LINE(left);
+CONDYN_IN_FIRST_LINE(right);
+CONDYN_IN_FIRST_LINE(priority);
+CONDYN_IN_FIRST_LINE(size);
+CONDYN_IN_FIRST_LINE(tail);
+CONDYN_IN_FIRST_LINE(head);
+CONDYN_IN_FIRST_LINE(local_nonspanning);
+CONDYN_IN_FIRST_LINE(sub_nonspanning);
+CONDYN_IN_FIRST_LINE(kind);
+CONDYN_IN_FIRST_LINE(arc_at_level);
+CONDYN_IN_FIRST_LINE(sub_level_arc);
+#undef CONDYN_IN_FIRST_LINE
+
+template <typename T>
+void expect_line_aligned_cells() {
+  auto& pool = NodePool<T, kCacheLine>::instance();
+  std::vector<T*> nodes;
   for (int i = 0; i < 16; ++i) nodes.push_back(pool.create());
-  for (ett::Node* n : nodes) {
+  for (T* n : nodes) {
     EXPECT_EQ(reinterpret_cast<uintptr_t>(n) % kCacheLine, 0u);
   }
-  for (ett::Node* n : nodes) pool.destroy(n);
+  for (T* n : nodes) pool.destroy(n);
+}
+
+TEST(NodePool, CachelineStrideForTreeNodes) {
+  expect_line_aligned_cells<ett::Node>();
+  expect_line_aligned_cells<ett::Level0Vertex>();
 }
 
 TEST(NodePool, SlabAmortizesAllocatorCalls) {

@@ -36,6 +36,7 @@
 #include <unistd.h>
 #endif
 
+#include "graph/codec.hpp"
 #include "graph/io.hpp"
 #include "graph/snapshot.hpp"
 #include "graph/wire.hpp"
@@ -231,12 +232,45 @@ std::string encode_journal() {
   return out.str();
 }
 
+/// Rewrite the op count of a DCTR header, or of the trace a DCSN embeds,
+/// to what the payload after it holds, trimming a partial last op. Edits to
+/// the payload then reach the op decoder and the round-trip check instead
+/// of stopping at the strict count-versus-bytes check.
+void fix_trace_count(std::string& s) {
+  std::size_t at = 0;  // where the DCTR magic starts
+  if (s.size() >= codec::kSnapshotHeaderBytes &&
+      s.compare(0, 4, io::kSnapshotMagic, 4) == 0)
+    at = codec::kSnapshotHeaderBytes;
+  if (s.size() < at + 8 || s.compare(at, 4, io::kTraceMagic, 4) != 0) return;
+  const bool v1 = codec::get_le<uint32_t>(s.data() + at + 4) ==
+                  io::kTraceVersionV1;
+  const std::size_t payload =
+      at + (v1 ? codec::kTraceV1HeaderBytes : codec::kTraceHeaderBytes);
+  if (s.size() < payload) return;
+  uint64_t count = 0;
+  if (v1) {
+    count = (s.size() - payload) / codec::kTraceV1OpBytes;
+    s.resize(payload + count * codec::kTraceV1OpBytes);
+  } else {
+    // Each op is two LEB128 varints, and a byte with a clear top bit ends
+    // a varint.
+    std::size_t ends = 0, last_op_end = payload;
+    for (std::size_t i = payload; i < s.size(); ++i) {
+      if ((static_cast<uint8_t>(s[i]) & 0x80) == 0 && ++ends % 2 == 0)
+        last_op_end = i + 1;
+    }
+    count = ends / 2;
+    s.resize(last_op_end);
+  }
+  codec::put_le(s.data() + payload - sizeof(uint64_t), count);
+}
+
 std::string mutate(const std::string& base, std::mt19937_64& rng) {
   std::string s = base;
   auto rnd = [&](std::size_t n) { return n ? rng() % n : 0; };
   const int passes = 1 + static_cast<int>(rnd(4));
   for (int i = 0; i < passes; ++i) {
-    switch (rnd(6)) {
+    switch (rnd(7)) {
       case 0:  // truncate — torn tails are the headline journal case
         s.resize(rnd(s.size() + 1));
         break;
@@ -258,6 +292,10 @@ std::string mutate(const std::string& base, std::mt19937_64& rng) {
       case 4:  // garbage prefix — exercises the magic/version checks
         s.insert(0, 1, static_cast<char>(rng()));
         break;
+      case 5:  // a trace or snapshot whose header count fits its payload;
+               // the last edit, so no later one breaks the count again
+        fix_trace_count(s);
+        return s;
       default: {  // replace wholesale with noise
         s.assign(4 + rnd(96), '\0');
         for (char& c : s) c = static_cast<char>(rng());
