@@ -14,8 +14,8 @@
 // THREADS / SCALE / SEED / FULL / VARIANTS / SCENARIOS / READS / BATCH /
 // TRACE, plus suite-specific:
 //   DC_BENCH_SECTIONS  comma list of sections to run (default
-//                      "graphs,sweep,batchpar,sharded,stats,retries,
-//                      ablation,dsu,memory,labels,ingest")
+//                      "graphs,sweep,stats,retries,ablation,dsu,memory,
+//                      labels,ingest")
 //   DC_BENCH_JSON      JSON output path (default "bench_suite.json")
 #include <algorithm>
 #include <atomic>
@@ -28,11 +28,9 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_set>
 
 #include "bench_common.hpp"
 #include "core/label_cache.hpp"
-#include "core/sharded_dc.hpp"
 #include "graph/dsu.hpp"
 #include "graph/io.hpp"
 #include "graph/snapshot.hpp"
@@ -60,7 +58,6 @@ RunConfig base_config(const EnvConfig& env) {
   cfg.window_fraction = env.window_fraction;
   cfg.communities = env.communities;
   cfg.run_length = env.run_length;
-  cfg.shard_skew = env.shard_skew;
   return cfg;
 }
 
@@ -101,11 +98,10 @@ std::vector<const ScenarioInfo*> selected_scenarios(const EnvConfig& env) {
 
 JsonReport::Record& add_sweep_record(JsonReport& json, const ScenarioInfo& s,
                                      const Graph& g, int variant_id,
-                                     const RunConfig& cfg, const RunResult& r,
-                                     const char* section = "sweep") {
+                                     const RunConfig& cfg, const RunResult& r) {
   JsonReport::Record& rec =
       json.add_record()
-          .field("section", section)
+          .field("section", "sweep")
           .field("scenario", s.name)
           .field("graph", g.name)
           .field("variant", bench::variant_label(variant_id))
@@ -221,182 +217,6 @@ void sweep_section(const EnvConfig& env, JsonReport& json) {
       report.print();
     }
   }
-}
-
-/// The internally-parallel-batch head-to-head: pbd (variant 14, one worker
-/// gang inside apply_batch) vs parallel-combining (the strongest externally
-/// batched family) on the two contended batch scenarios, at a *pinned*
-/// thread ladder {1, 8} and every DC_BENCH_BATCH_SIZES entry. Threads are
-/// pinned rather than taken from DC_BENCH_THREADS so the checked-in
-/// baseline's acceptance records — pbd >= parallel-combining ops/ms at 8
-/// harness threads, batch >= 1024 — reproduce from the smoke env unchanged.
-/// Records carry section "batchpar": bench_diff gates only "sweep" and
-/// "memory", so the head-to-head is tracked without double-gating the same
-/// configurations the sweep already covers.
-void batchpar_section(const EnvConfig& env, JsonReport& json) {
-  static constexpr const char* kScenarios[] = {"batch-zipfian",
-                                               "batch-window"};
-  static constexpr const char* kVariants[] = {"parallel-combining", "pbd"};
-  static constexpr unsigned kThreads[] = {1, 8};
-  const std::vector<Graph> small = bench::small_graphs(env);
-  if (small.empty()) return;
-  const Graph& g = small.front();  // one graph keeps the smoke run quick
-  TableReport table("Internally parallel batches: pbd vs parallel-combining",
-                    {"scenario", "reads%", "batch", "threads", "variant",
-                     "ops/ms"});
-  for (const char* sname : kScenarios) {
-    const ScenarioInfo* s = harness::find_scenario(sname);
-    if (s == nullptr) continue;
-    const std::vector<int> reads = s->caps.uses_read_percent
-                                       ? env.read_percents
-                                       : std::vector<int>{0};
-    for (int read_percent : reads) {
-      for (std::size_t bs : env.batch_sizes) {
-        for (unsigned threads : kThreads) {
-          double ops[2] = {0, 0};
-          for (int vi = 0; vi < 2; ++vi) {
-            const VariantInfo* v = find_variant(kVariants[vi]);
-            if (v == nullptr) continue;
-            RunConfig cfg = base_config(env);
-            cfg.threads = threads;
-            cfg.read_percent = read_percent;
-            cfg.batch_size = bs;
-            auto dc = make_variant(v->id, g.num_vertices());
-            const RunResult r = harness::run_scenario(*s, *dc, g, cfg);
-            ops[vi] = r.ops_per_ms;
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%.1f", r.ops_per_ms);
-            table.add_row({s->name, std::to_string(read_percent),
-                           std::to_string(bs), std::to_string(threads),
-                           v->name, buf});
-            add_sweep_record(json, *s, g, v->id, cfg, r, "batchpar");
-          }
-          if (ops[0] > 0 && ops[1] > 0) {
-            std::printf(
-                "# batchpar %s reads=%d batch=%zu threads=%u: "
-                "pbd/parallel-combining = %.2fx\n",
-                s->name, read_percent, bs, threads, ops[1] / ops[0]);
-          }
-        }
-      }
-    }
-  }
-  table.print();
-}
-
-
-/// Synthetic input for the sharded head-to-head: n vertices, ~m edges, with
-/// exactly `cross_pct` percent of the draws crossing shard boundaries *as
-/// defined by the facade's own router at `shards`* — so the cross-shard
-/// fraction is controlled by construction, not estimated after the fact.
-Graph cross_shard_graph(Vertex n, std::size_t m, unsigned shards,
-                        int cross_pct, uint64_t seed) {
-  const uint32_t mask = shards - 1;
-  std::vector<std::vector<Vertex>> bucket(shards);
-  for (Vertex v = 0; v < n; ++v)
-    bucket[ShardedDc::route(v, mask)].push_back(v);
-  Xoshiro256 rng(mix64(seed ^ 0x5ba6dedull));
-  std::vector<Edge> edges;
-  std::unordered_set<uint64_t> seen;
-  edges.reserve(m);
-  // Bounded attempts: tiny buckets (or cross_pct ~100 at shards=1, where
-  // crossing is impossible) must not spin forever.
-  for (std::size_t tries = 0; edges.size() < m && tries < 20 * m; ++tries) {
-    uint32_t a = static_cast<uint32_t>(rng.next_below(shards));
-    uint32_t b = a;
-    if (shards > 1 &&
-        rng.next_below(100) < static_cast<uint64_t>(cross_pct)) {
-      while (b == a) b = static_cast<uint32_t>(rng.next_below(shards));
-    }
-    if (bucket[a].empty() || bucket[b].empty()) continue;
-    const Vertex u = bucket[a][rng.next_below(bucket[a].size())];
-    const Vertex v = bucket[b][rng.next_below(bucket[b].size())];
-    if (u == v) continue;
-    const Edge e(u, v);
-    if (seen.insert(e.key()).second) edges.push_back(e);
-  }
-  Graph g(n, std::move(edges));
-  char name[48];
-  std::snprintf(name, sizeof name, "xshard-s%u-c%d@%u", shards, cross_pct, n);
-  g.name = name;
-  return g;
-}
-
-/// §10 head-to-head: the sharded facade vs its flat inner flagship on the
-/// two locality scenarios, at S in {1,4,16} x cross-shard edge fraction
-/// {1,10,50}% (S=1 has no boundary, one cross=0 row as the facade-overhead
-/// baseline). Threads pinned to {1,8} like batchpar so the checked-in
-/// acceptance records — sharded<full> >= full at S=16, 8 threads, <=10%
-/// cross — reproduce from the smoke env unchanged. DC_SHARDS is set per
-/// row before construction (the facade and the work-imbalance generator
-/// both read it), and restored after.
-void sharded_section(const EnvConfig& env, JsonReport& json) {
-  static constexpr const char* kScenarios[] = {"component-local",
-                                               "work-imbalance"};
-  static constexpr const char* kVariants[] = {"full", "sharded<full>"};
-  static constexpr unsigned kThreads[] = {1, 8};
-  static constexpr unsigned kShards[] = {1, 4, 16};
-  static constexpr int kCross[] = {1, 10, 50};
-  const Vertex n = std::max<Vertex>(
-      1024, static_cast<Vertex>(32768 * (env.full ? 1.0 : env.scale)));
-  const std::size_t m = static_cast<std::size_t>(n) * 3;
-  const int read_percent = env.read_percents.front();
-  const char* prev = std::getenv("DC_SHARDS");
-  const std::string saved = prev != nullptr ? prev : "";
-  TableReport table("Sharded facade vs flat (DESIGN.md \u00a710)",
-                    {"scenario", "graph", "threads", "variant", "ops/ms",
-                     "cross-upd"});
-  for (unsigned shards : kShards) {
-    ::setenv("DC_SHARDS", std::to_string(shards).c_str(), 1);
-    for (int cross : kCross) {
-      if (shards == 1 && cross != kCross[0]) continue;  // no boundary at S=1
-      const Graph g = cross_shard_graph(n, m, shards,
-                                        shards == 1 ? 0 : cross, env.seed);
-      for (const char* sname : kScenarios) {
-        const ScenarioInfo* s = harness::find_scenario(sname);
-        if (s == nullptr) continue;
-        for (unsigned threads : kThreads) {
-          double ops[2] = {0, 0};
-          for (int vi = 0; vi < 2; ++vi) {
-            const VariantInfo* v = find_variant(kVariants[vi]);
-            if (v == nullptr) continue;
-            RunConfig cfg = base_config(env);
-            cfg.threads = threads;
-            cfg.read_percent = read_percent;
-            auto dc = make_variant(v->id, g.num_vertices());
-            const RunResult r = harness::run_scenario(*s, *dc, g, cfg);
-            ops[vi] = r.ops_per_ms;
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%.1f", r.ops_per_ms);
-            table.add_row({s->name, g.name, std::to_string(threads),
-                           v->name, buf,
-                           std::to_string(r.op_counters.shard_cross_updates)});
-            add_sweep_record(json, *s, g, v->id, cfg, r, "sharded")
-                .field("shards", static_cast<int>(shards))
-                .field("cross_pct",
-                       shards == 1 ? 0 : cross)
-                .field("shard_cross_updates",
-                       r.op_counters.shard_cross_updates)
-                .field("shard_boundary_queries",
-                       r.op_counters.shard_boundary_queries)
-                .field("shard_index_rebuilds",
-                       r.op_counters.shard_index_rebuilds);
-          }
-          if (ops[0] > 0 && ops[1] > 0) {
-            std::printf("# sharded %s %s threads=%u: sharded<full>/full = "
-                        "%.2fx\n",
-                        s->name, g.name.c_str(), threads, ops[1] / ops[0]);
-          }
-        }
-      }
-    }
-  }
-  if (prev != nullptr) {
-    ::setenv("DC_SHARDS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("DC_SHARDS");
-  }
-  table.print();
 }
 
 /// Tables 1-2: the benchmark graph inventory — |V|, |E|, degree and
@@ -1143,16 +963,12 @@ int main(int argc, char** argv) {
 
   for (const std::string& section :
        harness::env_list("DC_BENCH_SECTIONS",
-                         "graphs,sweep,batchpar,sharded,stats,retries,"
-                         "ablation,dsu,memory,labels,ingest")) {
+                         "graphs,sweep,stats,retries,ablation,dsu,memory,"
+                         "labels,ingest")) {
     if (section == "graphs") {
       graphs_section(env, json);
     } else if (section == "sweep") {
       sweep_section(env, json);
-    } else if (section == "batchpar") {
-      batchpar_section(env, json);
-    } else if (section == "sharded") {
-      sharded_section(env, json);
     } else if (section == "stats") {
       stats_section(env, json);
     } else if (section == "retries") {

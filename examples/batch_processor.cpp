@@ -104,15 +104,13 @@ int main() {
 
   // Parallel: one worker per region, all submitting batches to one
   // concurrent structure through apply_batch. Picked by capability, not by
-  // name: prefer a family whose apply_batch is itself parallel inside
-  // (internal_parallel — the pbd gang), otherwise the first native-batch
-  // variant with lock-free reads, otherwise any native-batch one.
+  // name: the first native-batch variant with lock-free reads, otherwise
+  // any native-batch one.
   const char* conc_name = nullptr;
-  for (int pass = 0; pass < 3 && conc_name == nullptr; ++pass) {
+  for (int pass = 0; pass < 2 && conc_name == nullptr; ++pass) {
     for (const VariantInfo& v : all_variants()) {
       if (!v.caps.native_batch) continue;
-      if (pass == 0 && !v.caps.internal_parallel) continue;
-      if (pass == 1 && !v.caps.lock_free_reads) continue;
+      if (pass == 0 && !v.caps.lock_free_reads) continue;
       conc_name = v.name;
       break;
     }

@@ -61,7 +61,7 @@ trap 'rm -f "$sample_trace" "$from_v1" "$from_v2" "$from_v3" "$sample_reads" "$s
   grep -q "applied_seq:  77"
 ./build/trace_convert info "$snap_trace" > /dev/null
 
-./build/bench_suite --list | grep -q "Variants (16 registered)"
+./build/bench_suite --list | grep -q "Variants (13 registered)"
 DC_BENCH_SCALE=0.01 ./build/bench_suite --record random "$trace" 2000
 DC_BENCH_MILLIS=20 DC_BENCH_WARMUP=5 DC_BENCH_THREADS=1,2 \
   DC_BENCH_SCALE=0.01 DC_BENCH_READS=80 DC_BENCH_BATCH_SIZES=16,1024 \
@@ -86,15 +86,6 @@ assert fire and all(r['ops_per_ms'] > 0 for r in fire), 'firehose scenario produ
 lab = [r for r in d['results'] if r['section'] == 'labels']
 assert {r['label_cache'] for r in lab} == {0, 1}, 'labels section must record cache-on and cache-off rows'
 assert any(r['label_cache'] == 1 and r['label_hits'] > 0 for r in lab), 'label cache never hit in the labels smoke'
-bp = [r for r in d['results'] if r['section'] == 'batchpar']
-assert {r['variant'] for r in bp} == {'pbd', 'parallel-combining'}, 'batchpar head-to-head incomplete'
-sh = [r for r in d['results'] if r['section'] == 'sharded']
-assert {1, 4} <= {r['shards'] for r in sh}, 'sharded section missing S in {1,4}'
-assert any(r['variant'].startswith('sharded<') and r['shard_cross_updates'] > 0 for r in sh), \
-    'sharded section recorded no cross-shard updates'
-acc = [r for r in bp if r['variant'] == 'pbd' and r['batch_size'] >= 1024 and r['threads'] == 8]
-assert {r['scenario'] for r in acc} == {'batch-zipfian', 'batch-window'} and \
-    all(r['ops_per_ms'] > 0 for r in acc), 'pbd acceptance records (batch >= 1024, 8 threads) missing'
 ing = [r for r in d['results'] if r['section'] == 'ingest']
 assert {r['mode'] for r in ing} == {'closed-loop', 'group-commit', 'firehose', 'recovery'}, \
     'ingest section must record all four modes'
@@ -126,11 +117,11 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
   cmake -B build-tsan -S . -DCONDYN_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" \
     --target test_concurrent test_nb_hdt test_scenarios test_replay_dep \
-             test_query_api test_label_cache test_batch test_pbd test_sharded \
+             test_query_api test_label_cache test_batch test_sharded_map \
              test_ingest test_server
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
     --output-on-failure -j 2 \
-    -R 'test_concurrent|test_nb_hdt|test_scenarios|test_replay_dep|test_query_api|test_label_cache|test_batch|test_pbd|test_sharded|test_ingest|test_server'
+    -R 'test_concurrent|test_nb_hdt|test_scenarios|test_replay_dep|test_query_api|test_label_cache|test_batch|test_sharded_map|test_ingest|test_server'
 fi
 
 # Optional mirror of the CI crash-recovery job: kill -9 the serving process

@@ -198,10 +198,10 @@ class DynamicConnectivity {
   /// Settle lazily maintained internal state at a known-quiescent point:
   /// callers that can guarantee no concurrent updates (the ingest applier
   /// parked at a batch boundary, a recovery that just finished its replay)
-  /// invoke this before snapshotting or serving queries, so deferred
-  /// structures (the sharded facade's boundary index, caches) are rebuilt
-  /// once here instead of on the first post-quiesce query. Base: no-op —
-  /// most variants keep nothing deferred.
+  /// invoke this before snapshotting or serving queries, so a structure
+  /// that defers work (a decorator's buffers, a cache) can settle it once
+  /// here instead of on the first post-quiesce query. Base: no-op — no
+  /// built-in variant keeps anything deferred.
   virtual void quiesce() {}
 
   /// Stable identifier used in benchmark tables (matches DESIGN.md §1).

@@ -13,16 +13,11 @@ VariantRegistry& VariantRegistry::instance() {
     // VariantInfo pointers/references handed out by find()/variants() are
     // not invalidated by a later add() reallocating the vector.
     reg.variants_.reserve(kReserved);
-    // Registration order defines the ids; keep the paper's 1..13 numbering,
-    // with the post-paper parallel batch-dynamic family appended as (14).
+    // Registration order defines the ids: the paper's 1..13 numbering.
     register_coarse_variants(reg);
     register_fine_variants(reg);
     register_nb_variants(reg);
     register_combining_variants(reg);
-    register_pbd_variants(reg);
-    // Last: the sharded facade picks its inner variants by capability
-    // profile from the families registered above.
-    register_sharded_variants(reg);
   });
   return reg;
 }

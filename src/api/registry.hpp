@@ -38,12 +38,6 @@ struct VariantCaps {
   /// DC_LABEL_CACHE. Set by the families whose reads are lock-free (the
   /// cache's fallback is exactly that read path).
   bool label_cache = false;
-  /// apply_batch processes one batch with *internal* parallelism — a
-  /// worker gang preprocesses, groups and applies the batch's ops
-  /// concurrently (the pbd family, DESIGN.md §9) — rather than pushing one
-  /// caller's batch through a single engine pass. Batch-heavy callers
-  /// (examples/batch_processor) prefer this over plain native_batch.
-  bool internal_parallel = false;
 };
 
 /// One evaluated algorithm combination (paper §5.2; numbering kept
@@ -97,7 +91,5 @@ void register_coarse_variants(VariantRegistry& r);     // (1)–(5)
 void register_fine_variants(VariantRegistry& r);       // (6)–(8)
 void register_nb_variants(VariantRegistry& r);         // (9)–(11)
 void register_combining_variants(VariantRegistry& r);  // (12)–(13)
-void register_pbd_variants(VariantRegistry& r);        // (14)
-void register_sharded_variants(VariantRegistry& r);    // (15)–(16)
 
 }  // namespace condyn

@@ -6,20 +6,8 @@
 #include <vector>
 
 #include "api/dynamic_connectivity.hpp"
-#include "util/random.hpp"
 
 namespace condyn {
-
-/// Canonical partition key for an undirected edge: order-insensitive
-/// (hash(u,v) == hash(v,u)), seed-free and machine-stable. Introduced by the
-/// PR 4 dependency-preserving replay as the thread-ownership key; hoisted
-/// here from the harness so the core batch pipeline (PbdDc's parallel
-/// preprocessing) can partition update runs by edge without a core→harness
-/// dependency. harness::edge_partition_hash forwards to this.
-inline uint64_t edge_partition_hash(Vertex u, Vertex v) noexcept {
-  const Edge e(u, v);  // canonical orientation
-  return mix64(e.key() ^ 0xdec0de5eedull);
-}
 
 /// Shared walk for batched application (DESIGN.md §5.1), used by the locked
 /// engine (Hdt::apply_batch) and the fine-grained variant so the reorder
@@ -33,17 +21,16 @@ inline uint64_t edge_partition_hash(Vertex u, Vertex v) noexcept {
 /// canonical edge key semantics-preserving while grouping same-edge and
 /// same-component work back-to-back.
 ///
-/// Raw segment walk — the decomposition alone, no sorting. Calls, in batch
-/// order:
-///   on_query(i)     — for each query op, i its batch index;
-///   on_run(i, j)    — for each maximal update run, the half-open batch
-///                     index range [i, j).
-/// for_each_batch_run layers the stable edge-key sort on top; PbdDc's batch
-/// planner consumes the raw ranges instead and partitions each run by
-/// edge_partition_hash across its worker gang (DESIGN.md §9).
-template <typename QueryFn, typename RawRunFn>
-void for_each_batch_segment(std::span<const Op> ops, QueryFn&& on_query,
-                            RawRunFn&& on_run) {
+/// Calls, in batch order:
+///   on_query(i)    — for each query op (any is_query kind), i its batch
+///                    index;
+///   on_run(order)  — for each maximal update run, `order` the run's batch
+///                    indices stably sorted by edge key (valid only for the
+///                    call).
+template <typename QueryFn, typename RunFn>
+void for_each_batch_run(std::span<const Op> ops, QueryFn&& on_query,
+                        RunFn&& on_run) {
+  std::vector<uint32_t> order;
   std::size_t i = 0;
   while (i < ops.size()) {
     if (is_query(ops[i].kind)) {
@@ -51,36 +38,17 @@ void for_each_batch_segment(std::span<const Op> ops, QueryFn&& on_query,
       ++i;
       continue;
     }
-    std::size_t j = i;
-    while (j < ops.size() && !is_query(ops[j].kind)) ++j;
-    on_run(i, j);
-    i = j;
+    order.clear();
+    for (; i < ops.size() && !is_query(ops[i].kind); ++i) {
+      order.push_back(static_cast<uint32_t>(i));
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&ops](uint32_t a, uint32_t b) {
+                       return Edge(ops[a].u, ops[a].v).key() <
+                              Edge(ops[b].u, ops[b].v).key();
+                     });
+    on_run(std::span<const uint32_t>(order));
   }
-}
-
-/// Calls, in batch order:
-///   on_query(i)    — for each query op (any is_query kind), i its batch
-///                    index;
-///   on_run(order)  — for each update run, `order` the run's batch indices
-///                    stably sorted by edge key (valid only for the call).
-template <typename QueryFn, typename RunFn>
-void for_each_batch_run(std::span<const Op> ops, QueryFn&& on_query,
-                        RunFn&& on_run) {
-  std::vector<uint32_t> order;
-  for_each_batch_segment(
-      ops, std::forward<QueryFn>(on_query),
-      [&ops, &order, &on_run](std::size_t i, std::size_t j) {
-        order.clear();
-        for (std::size_t k = i; k < j; ++k) {
-          order.push_back(static_cast<uint32_t>(k));
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [&ops](uint32_t a, uint32_t b) {
-                           return Edge(ops[a].u, ops[a].v).key() <
-                                  Edge(ops[b].u, ops[b].v).key();
-                         });
-        on_run(std::span<const uint32_t>(order));
-      });
 }
 
 }  // namespace condyn

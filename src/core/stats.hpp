@@ -28,9 +28,6 @@ struct Counters {
   uint64_t label_hits = 0;            ///< label-cache O(1) answers (DESIGN.md §8)
   uint64_t label_misses = 0;          ///< label-cache fallbacks to the tree walk
   uint64_t label_publishes = 0;       ///< miss chains + writer relabels published
-  uint64_t shard_cross_updates = 0;   ///< boundary-layer edge updates (§10)
-  uint64_t shard_boundary_queries = 0;  ///< queries that consulted the index
-  uint64_t shard_index_rebuilds = 0;    ///< boundary index rebuilds
 
   Counters& operator+=(const Counters& o) noexcept {
     reads += o.reads;
@@ -46,9 +43,6 @@ struct Counters {
     label_hits += o.label_hits;
     label_misses += o.label_misses;
     label_publishes += o.label_publishes;
-    shard_cross_updates += o.shard_cross_updates;
-    shard_boundary_queries += o.shard_boundary_queries;
-    shard_index_rebuilds += o.shard_index_rebuilds;
     return *this;
   }
 };

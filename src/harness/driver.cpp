@@ -298,7 +298,6 @@ RunConfig validated(const RunConfig& cfg) {
   out.window_fraction = std::clamp(out.window_fraction, 0.01, 1.0);
   if (out.communities == 0) out.communities = 1;
   if (out.run_length == 0) out.run_length = 1;
-  out.shard_skew = std::clamp(out.shard_skew, 0.0, 1.0);
   if (out.arrival_rate < 0) out.arrival_rate = 0;
   return out;
 }
@@ -415,7 +414,6 @@ EnvConfig env_config() {
   cfg.window_fraction = env_double("DC_BENCH_WINDOW", 0.25);
   cfg.communities = static_cast<unsigned>(env_u64("DC_BENCH_COMMUNITIES", 16));
   cfg.run_length = static_cast<unsigned>(env_u64("DC_BENCH_RUNLEN", 64));
-  cfg.shard_skew = env_double("DC_BENCH_SHARD_SKEW", 0.8);
   cfg.arrival_rate = env_double("DC_BENCH_RATE", 0);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());

@@ -37,8 +37,6 @@ namespace condyn::harness {
 //                         (default 0.25)
 //   DC_BENCH_COMMUNITIES  community count, component-local    (default 16)
 //   DC_BENCH_RUNLEN       ops per community before hopping    (default 64)
-//   DC_BENCH_SHARD_SKEW   work-imbalance hot-shard probability (default 0.8;
-//                         hot bucket defined by DC_SHARDS, DESIGN.md §10)
 //   DC_BENCH_RATE         open-loop target arrival rate, ops/sec aggregate
 //                         (default 0 = unpaced; paced scenarios only —
 //                         firehose and the bench `ingest` section)
@@ -127,7 +125,6 @@ struct EnvConfig {
   double window_fraction;
   unsigned communities;
   unsigned run_length;
-  double shard_skew;
   /// Open-loop arrival rate from DC_BENCH_RATE (ops/sec aggregate; 0 =
   /// unpaced). Only handed to paced scenarios / the ingest bench section.
   double arrival_rate;

@@ -263,16 +263,6 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
               cfg.run_length);
         });
 
-  ScenarioCaps imb_caps = random_caps;
-  r.add("work-imbalance",
-        "shard-skewed mix: shard_skew of the draws hit edges that land "
-        "entirely on shard 0 of the sharded facade's router (DC_SHARDS / "
-        "DC_BENCH_SHARD_SKEW) — the static-partition worst case",
-        imb_caps, [](const Graph& g, const RunConfig& cfg, unsigned t) {
-          return std::make_unique<WorkImbalanceStream>(
-              g, cfg.read_percent, thread_seed(cfg, t), cfg.shard_skew);
-        });
-
   ScenarioCaps fire_caps = random_caps;
   fire_caps.paced = true;
   r.add("firehose",

@@ -4,9 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/batch_runs.hpp"
-#include "core/sharded_dc.hpp"
-
 namespace condyn::harness {
 
 namespace {
@@ -155,41 +152,6 @@ bool ComponentLocalStream::next(Op& op) {
   return true;
 }
 
-WorkImbalanceStream::WorkImbalanceStream(const Graph& g, int read_percent,
-                                         uint64_t seed, double skew)
-    : edges_(&g.edges()),
-      skew_pct_(static_cast<uint32_t>(
-          std::clamp(skew, 0.0, 1.0) * 100.0 + 0.5)),
-      read_percent_(clamp_pct(read_percent)),
-      rng_(seed) {
-  // The hot bucket is defined by the *same* router the sharded facade uses,
-  // at the same DC_SHARDS setting, so "hot" is exactly "lands on shard 0
-  // without crossing a boundary". With one shard every edge is hot and the
-  // stream is the uniform mix by construction.
-  const uint32_t mask = ShardedDc::env_shards() - 1;
-  for (std::size_t i = 0; i < edges_->size(); ++i) {
-    const Edge& e = (*edges_)[i];
-    if (ShardedDc::route(e.u, mask) == 0 && ShardedDc::route(e.v, mask) == 0)
-      hot_.push_back(static_cast<uint32_t>(i));
-  }
-}
-
-bool WorkImbalanceStream::next(Op& op) {
-  if (edges_->empty()) return false;
-  const Edge* e;
-  if (!hot_.empty() && rng_.next_below(100) < skew_pct_) {
-    e = &(*edges_)[hot_[rng_.next_below(hot_.size())]];
-  } else {
-    e = &(*edges_)[rng_.next_below(edges_->size())];
-  }
-  OpKind k = OpKind::kConnected;
-  if (rng_.next_below(100) >= static_cast<uint64_t>(read_percent_)) {
-    k = rng_.next_below(2) == 0 ? OpKind::kAdd : OpKind::kRemove;
-  }
-  op = {k, e->u, e->v};
-  return true;
-}
-
 std::vector<Edge> random_half(const Graph& g, uint64_t seed) {
   std::vector<Edge> all = g.edges();
   Xoshiro256 rng(seed);
@@ -213,9 +175,8 @@ std::vector<Edge> stripe(const std::vector<Edge>& edges, unsigned thread,
 }
 
 uint64_t edge_partition_hash(Vertex u, Vertex v) noexcept {
-  // Canonical orientation (hash(u,v) == hash(v,u)); the definition lives in
-  // core/batch_runs.hpp since PR 7 so PbdDc's batch planner shares it.
-  return condyn::edge_partition_hash(u, v);
+  const Edge e(u, v);  // canonical orientation: hash(u,v) == hash(v,u)
+  return mix64(e.key() ^ 0xdec0de5eedull);
 }
 
 std::vector<Op> edge_partition(std::span<const Op> ops, unsigned thread,

@@ -114,9 +114,9 @@ TEST_P(BatchVariants, DuplicateEdgesWithinOneBatch) {
 }
 
 TEST_P(BatchVariants, AdversarialSameEdgeChurnMatchesSequentialFallback) {
-  // The pbd preprocessing pin (ISSUE 7): duplicate same-edge add/remove
-  // pairs inside one batch — with queries interleaved as reorder barriers —
-  // must produce exactly the BatchResult of the sequential fallback loop.
+  // Duplicate same-edge add/remove pairs inside one batch — with queries
+  // interleaved as reorder barriers — must produce exactly the BatchResult
+  // of the sequential fallback loop.
   // A tiny edge universe makes every batch repeat the same few edges many
   // times, so cancellation, re-toggling across query barriers, self-loops
   // and duplicate adds all occur constantly; checked against a twin
@@ -222,7 +222,7 @@ TEST_P(BatchVariants, ConcurrentDisjointRegionBatches) {
 
 TEST(BatchRegistry, CapsAreDeclaredForBuiltins) {
   // Every built-in variant overrides apply_batch (or knowingly relies on the
-  // fallback); all fourteen currently declare a native batched path.
+  // fallback); all thirteen declare a native batched path.
   for (const VariantInfo& v : all_variants()) {
     EXPECT_TRUE(v.caps.native_batch) << v.name;
     EXPECT_TRUE(static_cast<bool>(v.make)) << v.name;
@@ -237,13 +237,10 @@ TEST(BatchRegistry, CapsAreDeclaredForBuiltins) {
   EXPECT_FALSE(find_variant("full")->caps.atomic_batch);
   EXPECT_TRUE(find_variant("fc-nbreads")->caps.combining);
   EXPECT_TRUE(find_variant("parallel-combining")->caps.atomic_batch);
-  EXPECT_TRUE(find_variant("pbd")->caps.internal_parallel);
-  EXPECT_TRUE(find_variant("pbd")->caps.atomic_batch);
-  EXPECT_FALSE(find_variant("parallel-combining")->caps.internal_parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, BatchVariants,
-                         ::testing::Range(1, 15),
+                         ::testing::Range(1, 14),
                          [](const ::testing::TestParamInfo<int>& info) {
                            std::string n = all_variants()[info.param - 1].name;
                            for (char& c : n)

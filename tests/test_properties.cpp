@@ -180,7 +180,7 @@ TEST_P(VariantPairSweep, AgreesWithReferenceVariantOnSameHistory) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pairs, VariantPairSweep,
-    ::testing::Combine(::testing::Values(3, 6, 8, 9, 10, 12, 13, 14),
+    ::testing::Combine(::testing::Values(3, 6, 8, 9, 10, 12, 13),
                        ::testing::Values(uint64_t{7}, uint64_t{8})),
     [](const ::testing::TestParamInfo<std::tuple<int, uint64_t>>& info) {
       std::string n = all_variants()[std::get<0>(info.param) - 1].name;

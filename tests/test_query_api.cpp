@@ -189,7 +189,7 @@ TEST_P(QueryVariants, QuietComponentStaysStableUnderForeignChurn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, QueryVariants,
-                         ::testing::Range(1, 15),
+                         ::testing::Range(1, 14),
                          [](const ::testing::TestParamInfo<int>& info) {
                            std::string n = all_variants()[info.param - 1].name;
                            for (char& c : n)
