@@ -67,6 +67,9 @@ DC_BENCH_MILLIS=20 DC_BENCH_WARMUP=5 DC_BENCH_THREADS=1,2 \
   DC_BENCH_SCALE=0.01 DC_BENCH_READS=80 DC_BENCH_BATCH_SIZES=16,1024 \
   DC_BENCH_VARIANTS=coarse,full DC_BENCH_TRACE="$trace" \
   DC_BENCH_JSON="$json" ./build/bench_suite > /dev/null
+# The smoke assertions and the baseline diff below both run whatever the
+# other's outcome; the script fails afterwards if either failed.
+smoke_status=0
 python3 -c "
 import json, sys
 d = json.load(open('$json'))
@@ -105,12 +108,18 @@ assert gc['ops_per_ms'] >= 0.95 * cl['ops_per_ms'], \
     f'group commit median {gc[\"ops_per_ms\"]:.1f} < closed loop median {cl[\"ops_per_ms\"]:.1f} ops/ms'
 print(f'ingest: group-commit/closed-loop medians = {gc[\"ops_per_ms\"]/cl[\"ops_per_ms\"]:.2f}x')
 print(f'bench_suite smoke: {len(d[\"results\"])} JSON records, {n} scenarios')
-"
+" || smoke_status=$?
 
 # Regression diff against the checked-in baseline: coverage loss fails,
 # throughput deltas are calibration-normalized but warn-only (still noisy —
 # gate throughput by diffing two runs of bench_suite on one machine instead).
-python3 scripts/bench_diff.py bench/baseline.json "$json" --warn-only
+diff_status=0
+python3 scripts/bench_diff.py bench/baseline.json "$json" --warn-only ||
+  diff_status=$?
+if [[ "$smoke_status" -ne 0 || "$diff_status" -ne 0 ]]; then
+  echo "check.sh: bench smoke exited $smoke_status, bench_diff exited $diff_status" >&2
+  exit 1
+fi
 
 # Optional mirror of the CI tsan job (slow; needs a second build tree).
 if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
@@ -118,10 +127,10 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
   cmake --build build-tsan -j "$jobs" \
     --target test_concurrent test_nb_hdt test_scenarios test_replay_dep \
              test_query_api test_label_cache test_batch test_sharded_map \
-             test_ingest test_server
+             test_edge_multiset test_ingest test_server
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
     --output-on-failure -j 2 \
-    -R 'test_concurrent|test_nb_hdt|test_scenarios|test_replay_dep|test_query_api|test_label_cache|test_batch|test_sharded_map|test_ingest|test_server'
+    -R 'test_concurrent|test_nb_hdt|test_scenarios|test_replay_dep|test_query_api|test_label_cache|test_batch|test_sharded_map|test_edge_multiset|test_ingest|test_server'
 fi
 
 # Optional mirror of the CI crash-recovery job: kill -9 the serving process

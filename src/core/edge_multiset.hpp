@@ -23,12 +23,20 @@ namespace condyn {
 /// both endpoints at level r, because info is inserted before and removed
 /// only after the corresponding linearization point.
 ///
-/// Implementation: a sorted-free singly-linked list with prepend-insert and
-/// logical deletion marks (Harris), unlinked lazily by later traversals and
-/// reclaimed through EBR. Scans (replacement searches) iterate unmarked
-/// cells; they tolerate concurrent inserts (may or may not see them — the
-/// protocol's ordering argument, Theorem 4.1, covers both) and concurrent
-/// removals.
+/// Implementation: an unsorted singly-linked list with prepend-insert and
+/// logical deletion marks on `next` (Harris). A marked `next` is frozen, and
+/// only marked cells ever leave the list. remove_one unlinks the cell it
+/// marks right away with one CAS on the link it reached the cell through
+/// (Michael). Every traversal (walk) unlinks each run of marked cells it
+/// meets with one CAS on the last live link, and on a failed CAS walks on
+/// instead of restarting, so each live cell is visited at most once. A dead
+/// cell therefore stays linked only when its unlink CAS lost a race, and
+/// only until the next walk that reaches it; unlinked cells are retired
+/// through the pool's EBR path and recycled. Scans (replacement searches)
+/// iterate unmarked cells; they tolerate concurrent inserts (may or may not
+/// see them — the protocol's ordering argument, Theorem 4.1, covers both)
+/// and concurrent removals, including removals the visitor itself makes.
+/// Every atomic access other threads can see is seq_cst (DESIGN.md §7.3).
 class VertexMultiset {
  public:
   VertexMultiset() noexcept = default;
@@ -61,30 +69,32 @@ class VertexMultiset {
   }
 
   /// Remove one copy of `v`. Returns false if no live copy was found.
-  /// Lock-free: marks the cell dead; unlinking happens opportunistically.
+  /// Lock-free: marks the cell dead, then tries once to unlink it.
   bool remove_one(Vertex v) {
     auto guard = ebr::pin();
-    for (Cell* c = first_live(); c != nullptr; c = next_live(c)) {
-      if (c->value != v) continue;
-      Cell* nx = c->next.load(std::memory_order_seq_cst);
-      if (marked(nx)) continue;  // someone else claimed it; keep looking
-      if (c->next.compare_exchange_strong(nx, mark(nx),
-                                          std::memory_order_seq_cst)) {
-        approx_size_.fetch_sub(1, std::memory_order_seq_cst);
-        return true;
+    bool removed = false;
+    walk([&](std::atomic<Cell*>& link, Cell* c, Cell* nx) {
+      if (c->value != v) return true;
+      while (!c->next.compare_exchange_strong(nx, mark(nx),
+                                              std::memory_order_seq_cst)) {
+        if (marked(nx)) return true;  // someone else claimed it; keep looking
       }
-    }
-    return false;
+      approx_size_.fetch_sub(1, std::memory_order_seq_cst);
+      removed = true;
+      Cell* expected = c;
+      if (link.compare_exchange_strong(expected, nx, std::memory_order_seq_cst))
+        pool().retire(c);
+      return false;
+    });
+    return removed;
   }
 
-  /// Visit every live value; f returning false stops the scan early.
-  /// Caller must hold an EBR guard if other threads may mutate concurrently.
+  /// Visit every live value; f returning false stops the scan early. f may
+  /// add to or remove from this multiset.
   template <typename F>
   bool for_each(F&& f) const {
-    for (Cell* c = first_live(); c != nullptr; c = next_live(c)) {
-      if (!f(c->value)) return false;
-    }
-    return true;
+    auto guard = ebr::pin();  // the walk retires the dead runs it unlinks
+    return walk([&](std::atomic<Cell*>&, Cell* c, Cell*) { return f(c->value); });
   }
 
   /// Racy size estimate; used only as the "are there candidates?" hint that
@@ -98,6 +108,8 @@ class VertexMultiset {
   bool empty_hint() const noexcept { return approx_size() == 0; }
 
  private:
+  friend class VertexMultisetTestPeer;
+
   struct Cell {
     Vertex value;
     std::atomic<Cell*> next{nullptr};
@@ -115,33 +127,46 @@ class VertexMultiset {
     return reinterpret_cast<Cell*>(reinterpret_cast<uintptr_t>(p) & ~uintptr_t{1});
   }
 
-  bool cell_dead(Cell* c) const noexcept {
-    return marked(c->next.load(std::memory_order_seq_cst));
-  }
-
-  /// First live cell, physically unlinking any dead prefix (only the head
-  /// pointer is ever rewired — interior dead cells are skipped, not
-  /// unlinked, which keeps remove_one O(live) and traversal wait-free
-  /// against any finite number of removals).
-  Cell* first_live() const {
-    Cell* h = head_.load(std::memory_order_seq_cst);
-    while (h != nullptr && cell_dead(h)) {
-      Cell* next = strip(h->next.load(std::memory_order_seq_cst));
-      if (head_.compare_exchange_weak(h, next, std::memory_order_seq_cst)) {
-        pool().retire(h);  // recycles after the grace period
-        h = next;
+  /// One pass over the list. Calls f(link, cell, next) on each cell seen
+  /// live, where `link` is the last live link before the cell (head_ or the
+  /// previous live cell's next) and `next` the cell's unmarked next; f
+  /// returning false stops the pass. Each run of marked cells is unlinked
+  /// with one CAS of `link` from the run's first cell to the cell after it.
+  /// A failed CAS (a new head, or a predecessor marked meanwhile) leaves the
+  /// run to a later pass; the walk carries on past it either way, so no live
+  /// cell is visited twice. Caller holds an EBR guard.
+  template <typename F>
+  bool walk(F&& f) const {
+    std::atomic<Cell*>* link = &head_;
+    Cell* c = head_.load(std::memory_order_seq_cst);
+    while (c != nullptr) {
+      Cell* nx = c->next.load(std::memory_order_seq_cst);
+      if (marked(nx)) {
+        Cell* end = strip(nx);
+        while (end != nullptr) {
+          Cell* en = end->next.load(std::memory_order_seq_cst);
+          if (!marked(en)) break;
+          end = strip(en);
+        }
+        Cell* expected = c;
+        if (link->compare_exchange_strong(expected, end,
+                                          std::memory_order_seq_cst)) {
+          // The run's next links are frozen, so this is exactly the chain
+          // the CAS cut out; only its unlinker retires it.
+          while (c != end) {
+            Cell* d = c;
+            c = strip(d->next.load(std::memory_order_seq_cst));
+            pool().retire(d);
+          }
+        }
+        c = end;
+        continue;
       }
-      // CAS failure reloaded h; loop re-tests.
+      if (!f(*link, c, nx)) return false;
+      link = &c->next;
+      c = strip(c->next.load(std::memory_order_seq_cst));
     }
-    return h;
-  }
-
-  Cell* next_live(Cell* c) const {
-    Cell* n = strip(c->next.load(std::memory_order_seq_cst));
-    while (n != nullptr && cell_dead(n)) {
-      n = strip(n->next.load(std::memory_order_seq_cst));
-    }
-    return n;
+    return true;
   }
 
   mutable std::atomic<Cell*> head_{nullptr};

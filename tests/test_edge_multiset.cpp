@@ -9,8 +9,26 @@
 #include <vector>
 
 #include "util/ebr.hpp"
+#include "util/pool_stats.hpp"
+#include "util/random.hpp"
 
 namespace condyn {
+
+/// Counts the dead cells still linked into a multiset (a friend of
+/// VertexMultiset). Only meaningful while no thread mutates the list.
+class VertexMultisetTestPeer {
+ public:
+  static std::size_t dead_cells(const VertexMultiset& ms) {
+    std::size_t dead = 0;
+    for (VertexMultiset::Cell* c = ms.head_.load(); c != nullptr;) {
+      VertexMultiset::Cell* nx = c->next.load();
+      if (VertexMultiset::marked(nx)) ++dead;
+      c = VertexMultiset::strip(nx);
+    }
+    return dead;
+  }
+};
+
 namespace {
 
 std::vector<Vertex> contents(const VertexMultiset& ms) {
@@ -84,6 +102,43 @@ TEST(VertexMultiset, RemovalDuringIterationIsSafe) {
   EXPECT_TRUE(contents(ms).empty());
 }
 
+TEST(VertexMultiset, AddRemoveCyclesRecycleCells) {
+  // Every cycle's cell goes in front of the long-lived one and is removed
+  // again; each removed cell must be unlinked and recycled, so the cycles
+  // run on a bounded set of cells (EBR holds back a few hundred retired
+  // ones) instead of taking a fresh cell each.
+  constexpr uint64_t kTwoSlabs = 512;
+  VertexMultiset ms;
+  ms.add(1);
+  const pool_stats::Counters before = pool_stats::local();
+  for (int i = 0; i < 100000; ++i) {
+    ms.add(2);
+    ASSERT_TRUE(ms.remove_one(2));
+  }
+  const pool_stats::Counters& after = pool_stats::local();
+  if (pool_stats::pooling_enabled()) {
+    EXPECT_LE(after.pool_fresh - before.pool_fresh, kTwoSlabs);
+  } else {
+    // DC_POOL=0: every cell is a counted new/delete; the cells still
+    // allocated must stay as few.
+    EXPECT_LE((after.allocator_calls - before.allocator_calls) -
+                  (after.allocator_frees - before.allocator_frees),
+              kTwoSlabs);
+  }
+  EXPECT_EQ(contents(ms), (std::vector<Vertex>{1}));
+  EXPECT_EQ(VertexMultisetTestPeer::dead_cells(ms), 0u);
+}
+
+TEST(VertexMultiset, RemoveUnlinksInteriorCell) {
+  VertexMultiset ms;
+  for (Vertex v = 0; v < 5; ++v) ms.add(v);
+  EXPECT_TRUE(ms.remove_one(2));  // reached through a live cell's next
+  EXPECT_TRUE(ms.remove_one(4));  // reached through the head
+  EXPECT_TRUE(ms.remove_one(0));  // the last cell
+  EXPECT_EQ(VertexMultisetTestPeer::dead_cells(ms), 0u);  // before any walk
+  EXPECT_EQ(contents(ms), (std::vector<Vertex>{1, 3}));
+}
+
 TEST(VertexMultisetStress, ConcurrentAddRemoveBalances) {
   // Producers add k copies of their id, consumers remove them; afterwards
   // the multiset must hold exactly the never-removed sentinel values.
@@ -150,6 +205,56 @@ TEST(VertexMultisetStress, ScanWhileMutating) {
   stop.store(true, std::memory_order_release);
   scanner.join();
   EXPECT_GT(scans.load(), 0u);
+}
+
+TEST(VertexMultisetStress, ChurnLeavesNoDeadCellAfterAWalk) {
+  // Adders, removers and scanners race on one list, the scanners removing
+  // values from inside their visit as the replacement searches do. A
+  // removal whose own unlink CAS loses a race leaves its cell to later
+  // walks; once the threads are done, a single walk must unlink every dead
+  // cell that is left.
+  constexpr int kThreads = 4;
+  constexpr int kOps = 20000;
+  constexpr Vertex kValues = 16;
+  VertexMultiset ms;
+  for (Vertex v = 0; v < kValues; ++v) ms.add(100 + v);  // never removed
+  std::atomic<int64_t> net{0};  // adds minus successful removes
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(static_cast<uint64_t>(t) + 1);
+      int64_t mine = 0;
+      for (int i = 0; i < kOps; ++i) {
+        const Vertex v = static_cast<Vertex>(rng.next_below(kValues));
+        switch (rng.next_below(4)) {
+          case 0:
+          case 1:
+            ms.add(v);
+            ++mine;
+            break;
+          case 2:
+            if (ms.remove_one(v)) --mine;
+            break;
+          default:
+            ms.for_each([&](Vertex w) {
+              if (w != v) return true;
+              if (ms.remove_one(w)) --mine;
+              return false;
+            });
+        }
+      }
+      net.fetch_add(mine);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const std::vector<Vertex> live = contents(ms);
+  EXPECT_EQ(VertexMultisetTestPeer::dead_cells(ms), 0u);
+  EXPECT_EQ(static_cast<int64_t>(live.size()),
+            static_cast<int64_t>(kValues) + net.load());
+  for (Vertex v = 0; v < kValues; ++v)
+    EXPECT_EQ(std::count(live.begin(), live.end(), 100 + v), 1) << v;
+  EXPECT_EQ(ms.approx_size(), live.size());
 }
 
 }  // namespace

@@ -14,9 +14,27 @@
 #include "graph/cc.hpp"
 #include "graph/dsu.hpp"
 #include "graph/generators.hpp"
+#include "util/ebr.hpp"
+#include "util/node_pool.hpp"
+#include "util/pool_stats.hpp"
 #include "util/random.hpp"
 
 namespace condyn {
+
+/// Reaches the multiset cell pool (a friend of VertexMultiset).
+class VertexMultisetTestPeer {
+ public:
+  /// Return the slabs whose cells all sit free to the OS, so that resident
+  /// bytes measured next do not start on cells that earlier tests freed.
+  /// Call only while no other thread uses the library.
+  static void release_idle_cells() {
+    ebr::Domain::global().drain();
+    auto& pool = NodePool<VertexMultiset::Cell>::instance();
+    pool.flush_local();
+    pool.decay(0);
+  }
+};
+
 namespace {
 
 struct ModeParam {
@@ -364,6 +382,103 @@ TEST_P(NbHdtModes, DenseGraphMostlyNonSpanning) {
   }
   EXPECT_LE(spanning, std::size_t{63});
   dc.check_invariants();
+}
+
+TEST_P(NbHdtModes, NonSpanningChurnPlateausResidentBytes) {
+  // Two 12-vertex clusters, each held together by a fixed path and joined
+  // by one bridge. Four threads toggle disjoint sets of intra-cluster
+  // chords, which stay non-spanning; thread 0 also cuts and re-adds the
+  // bridge every 64 ops, so the full replacement search lifts the smaller
+  // cluster's chords to level 1. Every removed multiset cell must be
+  // recycled: the pools' resident bytes after all the churn may exceed
+  // those after its first 10% only by a fixed allowance, which covers the
+  // retired cells EBR holds back while a preempted thread stays pinned.
+  // Leaving removed cells marked but linked grows it by 7-10 MB here.
+  constexpr Vertex kCluster = 12, n = 2 * kCluster;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 200000;  // per thread: ~100,000 add/remove pairs
+  constexpr int kWarmOps = kOps / 10;
+  constexpr int64_t kAllowance = 4 << 20;
+  const Edge bridge(kCluster - 1, kCluster);
+  NbHdt dc(n, GetParam().mode);
+  std::vector<Edge> fixed;
+  std::vector<std::vector<Edge>> chords(kThreads);
+  int next_owner = 0;
+  for (Vertex base : {Vertex{0}, kCluster}) {
+    for (Vertex a = base; a < base + kCluster; ++a) {
+      for (Vertex b = a + 1; b < base + kCluster; ++b) {
+        if (b == a + 1) {
+          fixed.emplace_back(a, b);
+        } else {
+          chords[next_owner].emplace_back(a, b);
+          next_owner = (next_owner + 1) % kThreads;
+        }
+      }
+    }
+  }
+  for (const Edge& e : fixed) ASSERT_TRUE(dc.add_edge(e.u, e.v));
+  ASSERT_TRUE(dc.add_edge(bridge.u, bridge.v));
+  VertexMultisetTestPeer::release_idle_cells();
+
+  std::atomic<int> warmed{0};
+  std::atomic<bool> resume{false};
+  std::atomic<int> failed_ops{0};
+  std::atomic<bool> lifted{false};
+  std::vector<std::vector<bool>> present(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(static_cast<uint64_t>(t) + 41);
+      const std::vector<Edge>& mine = chords[t];
+      std::vector<bool>& on = present[t];
+      on.assign(mine.size(), false);
+      for (int op = 0; op < kOps; ++op) {
+        if (op == kWarmOps) {
+          warmed.fetch_add(1);
+          warmed.notify_one();
+          resume.wait(false);
+        }
+        if (t == 0 && op % 64 == 63) {
+          if (!dc.remove_edge(bridge.u, bridge.v)) failed_ops.fetch_add(1);
+          if (!dc.add_edge(bridge.u, bridge.v)) failed_ops.fetch_add(1);
+          for (std::size_t i = 0; i < mine.size(); ++i)
+            if (on[i] && dc.edge_level(mine[i].u, mine[i].v) >= 1)
+              lifted.store(true);
+          continue;
+        }
+        const std::size_t i = rng.next_below(mine.size());
+        const Edge& e = mine[i];
+        const bool ok = on[i] ? dc.remove_edge(e.u, e.v)
+                              : dc.add_edge(e.u, e.v);
+        if (!ok) failed_ops.fetch_add(1);
+        on[i] = !on[i];
+      }
+    });
+  }
+  for (int w = warmed.load(); w < kThreads; w = warmed.load()) warmed.wait(w);
+  const int64_t warm_bytes = static_cast<int64_t>(pool_stats::resident_bytes());
+  resume.store(true);
+  resume.notify_all();
+  for (auto& t : threads) t.join();
+  const int64_t final_bytes = static_cast<int64_t>(pool_stats::resident_bytes());
+
+  EXPECT_EQ(failed_ops.load(), 0);
+  EXPECT_LE(final_bytes - warm_bytes, kAllowance)
+      << "resident " << warm_bytes << " B after 10% of the churn, "
+      << final_bytes << " B at the end";
+  EXPECT_TRUE(lifted.load()) << "no chord of thread 0 ever left level 0";
+  dc.check_invariants();
+  Dsu oracle(n);
+  for (const Edge& e : fixed) oracle.unite(e.u, e.v);
+  oracle.unite(bridge.u, bridge.v);
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < chords[t].size(); ++i) {
+      EXPECT_EQ(dc.has_edge(chords[t][i].u, chords[t][i].v), present[t][i]);
+      if (present[t][i]) oracle.unite(chords[t][i].u, chords[t][i].v);
+    }
+  for (Vertex a = 0; a < n; ++a)
+    for (Vertex b = a + 1; b < n; ++b)
+      EXPECT_EQ(dc.connected(a, b), oracle.connected(a, b)) << a << "-" << b;
 }
 
 INSTANTIATE_TEST_SUITE_P(

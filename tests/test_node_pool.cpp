@@ -155,8 +155,8 @@ TEST(NodePoolStress, RecycleUnderEbrChurn) {
   EXPECT_EQ(f.validate(0), base + 2 * (base - 1));
 }
 
-// Same property for the lock-free multiset: cells retired by remove_one's
-// prefix unlinking recycle through EBR while scanners iterate the list.
+// Same property for the lock-free multiset: cells unlinked by remove_one and
+// by traversals recycle through EBR while scanners iterate the list.
 TEST(NodePoolStress, MultisetRecycleUnderScan) {
   VertexMultiset ms;
   std::atomic<bool> stop{false};
