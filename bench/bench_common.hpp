@@ -58,12 +58,12 @@ inline std::string graph_label(const Graph& g) {
          " |E|=" + std::to_string(g.num_edges());
 }
 
-inline void print_env_banner(const char* what) {
-  const harness::EnvConfig env = harness::env_config();
+inline void print_env_banner(const char* what,
+                             const harness::EnvConfig& env) {
   std::printf(
       "# %s\n# scale=%.3f seed=%llu warmup=%dms measure=%dms full=%d\n"
       "# (env knobs: DC_BENCH_SCALE/SEED/WARMUP/MILLIS/THREADS/VARIANTS/"
-      "SCENARIOS/READS/BATCH/TRACE/FULL)\n\n",
+      "SCENARIOS/READS/BATCH_SIZES/TRACE/FULL)\n\n",
       what, env.full ? 1.0 : env.scale,
       static_cast<unsigned long long>(env.seed), env.warmup_ms,
       env.measure_ms, env.full ? 1 : 0);

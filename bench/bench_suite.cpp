@@ -1,6 +1,6 @@
 // bench_suite — the unified benchmark binary. Replaces the 15 single-figure
-// mains: it enumerates BOTH registries (every scenario in
-// harness::ScenarioRegistry × every variant in VariantRegistry × thread
+// mains: it enumerates both axes (every scenario in
+// harness::all_scenarios() × every variant in VariantRegistry × thread
 // counts), prints the familiar per-graph text series/tables, and emits a
 // machine-readable JSON report (harness::JsonReport, DESIGN.md §6.3) so the
 // perf trajectory is trackable across PRs.
@@ -11,12 +11,12 @@
 //   bench_suite                             run the suite (env-configured)
 //
 // Env knobs (harness::env_config, DESIGN.md §3): DC_BENCH_MILLIS / WARMUP /
-// THREADS / SCALE / SEED / FULL / VARIANTS / SCENARIOS / READS / BATCH /
-// TRACE, plus suite-specific:
-//   DC_BENCH_SECTIONS  comma list of sections to run (default
-//                      "graphs,sweep,stats,retries,ablation,dsu,memory,
-//                      labels,ingest")
+// THREADS / SCALE / SEED / FULL / VARIANTS / SCENARIOS / READS /
+// BATCH_SIZES / TRACE, plus suite-specific:
+//   DC_BENCH_SECTIONS  comma list of sections to run (default: all of
+//                      kSections, in order)
 //   DC_BENCH_JSON      JSON output path (default "bench_suite.json")
+// An unknown variant, scenario or section name exits 2 before anything runs.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -28,6 +28,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "core/label_cache.hpp"
@@ -54,14 +55,10 @@ RunConfig base_config(const EnvConfig& env) {
   cfg.warmup_ms = env.warmup_ms;
   cfg.measure_ms = env.measure_ms;
   cfg.trace_path = env.trace_path;
-  cfg.zipf_theta = env.zipf_theta;
-  cfg.window_fraction = env.window_fraction;
-  cfg.communities = env.communities;
-  cfg.run_length = env.run_length;
   return cfg;
 }
 
-/// A built-in scenario's registry entry, for the sections that run one by
+/// A built-in scenario's table entry, for the sections that run one by
 /// name.
 const ScenarioInfo& builtin(const char* name) {
   const ScenarioInfo* s = harness::find_scenario(name);
@@ -73,25 +70,21 @@ const ScenarioInfo& builtin(const char* name) {
 /// The scenarios this invocation can run: DC_BENCH_SCENARIOS if set,
 /// otherwise every registered scenario (trace-replay only with a trace).
 std::vector<const ScenarioInfo*> selected_scenarios(const EnvConfig& env) {
-  std::vector<const ScenarioInfo*> out;
+  std::vector<const ScenarioInfo*> picked;
   if (env.scenarios.empty()) {
-    for (const ScenarioInfo& s : harness::all_scenarios()) {
-      if (s.caps.needs_trace && env.trace_path.empty()) {
-        std::printf("# skipping scenario %s (set DC_BENCH_TRACE)\n", s.name);
-        continue;
-      }
-      out.push_back(&s);
-    }
+    for (const ScenarioInfo& s : harness::all_scenarios()) picked.push_back(&s);
   } else {
-    for (const std::string& name : env.scenarios) {
-      const ScenarioInfo* s = harness::find_scenario(name);
-      if (s == nullptr) continue;
-      if (s->caps.needs_trace && env.trace_path.empty()) {
-        std::printf("# skipping scenario %s (set DC_BENCH_TRACE)\n", s->name);
-        continue;
-      }
-      out.push_back(s);
+    // env_config() resolved every listed name, or threw.
+    for (const std::string& name : env.scenarios)
+      picked.push_back(&builtin(name.c_str()));
+  }
+  std::vector<const ScenarioInfo*> out;
+  for (const ScenarioInfo* s : picked) {
+    if (s->caps.needs_trace && env.trace_path.empty()) {
+      std::printf("# skipping scenario %s (set DC_BENCH_TRACE)\n", s->name);
+      continue;
     }
+    out.push_back(s);
   }
   return out;
 }
@@ -152,7 +145,7 @@ JsonReport::Record& add_sweep_record(JsonReport& json, const ScenarioInfo& s,
       .field("representative_per_ms", r.kind_per_ms(OpKind::kRepresentative));
 }
 
-/// The main registry × registry enumeration: scenario × read% × graphs ×
+/// The main scenario × variant enumeration: scenario × read% × graphs ×
 /// variants (× batch sizes for batched scenarios) × thread counts.
 void sweep_section(const EnvConfig& env, JsonReport& json) {
   const std::vector<int> variants =
@@ -192,10 +185,6 @@ void sweep_section(const EnvConfig& env, JsonReport& json) {
               cfg.threads = threads;
               cfg.read_percent = read_percent;
               cfg.batch_size = bs;
-              // Only paced scenarios get the open-loop rate: validated()
-              // rejects it on batched closed-loop scenarios by design, and
-              // a global DC_BENCH_RATE must not abort the whole sweep.
-              if (s->caps.paced) cfg.arrival_rate = env.arrival_rate;
               auto dc = make_variant(id, g.num_vertices());
               const RunResult r = harness::run_scenario(*s, *dc, g, cfg);
               std::string row = bench::variant_label(id);
@@ -522,14 +511,6 @@ void labels_section(const EnvConfig& env, JsonReport& json) {
   }
 }
 
-/// Percentile of a sorted sample vector, in microseconds from nanoseconds.
-double sojourn_us_at(const std::vector<uint32_t>& sorted_ns, double p) {
-  if (sorted_ns.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted_ns.size() - 1));
-  return sorted_ns[idx] / 1000.0;
-}
-
 /// One timed multi-producer run through an IngestService: `threads`
 /// producers each pull ops from their own stream and submit until the
 /// wall-clock window closes, then the service drains. Returns acked ops/ms.
@@ -577,15 +558,6 @@ IngestRun run_ingest(DynamicConnectivity& dc, const Graph& g,
   return r;
 }
 
-/// Linear-interpolated quantile of a sorted, non-empty sample.
-double quantile(const std::vector<double>& sorted, double p) {
-  const double at = p * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(at);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = at - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 /// The streaming ingest section (DESIGN.md §11): four records that pin the
 /// subsystem's acceptance claims.
 ///   closed-loop    the harness batch-random scenario at batch 256 — the
@@ -597,9 +569,9 @@ double quantile(const std::vector<double>& sorted, double p) {
 ///                  run on a fresh structure, and record the median
 ///                  (ops_per_ms) and quartiles of their runs;
 ///   firehose       group commit again, but producers paced open-loop at
-///                  DC_BENCH_RATE (default: half the measured group-commit
-///                  capacity, so the queue is stable and the tail is
-///                  meaningful) — reports sojourn p50/p99/p999;
+///                  half the measured group-commit median, so the queue is
+///                  stable and the tail is meaningful — reports sojourn
+///                  p50/p99/p999;
 ///   recovery       a journaled run with a mid-stream snapshot, then a cold
 ///                  recover_files into a fresh structure, timed and verified
 ///                  against a DSU built from the recovered live-edge set.
@@ -616,18 +588,18 @@ void ingest_section(const EnvConfig& env, JsonReport& json) {
                      "p99 us", "p999 us"});
   auto add_record = [&](const char* mode, double rate, double ops_per_ms,
                         const std::vector<uint32_t>& soj) {
-    JsonReport::Record* rec = nullptr;
-    char p50[32], p99[32], p999[32];
-    std::snprintf(p50, sizeof p50, "%.1f", sojourn_us_at(soj, 0.50));
-    std::snprintf(p99, sizeof p99, "%.1f", sojourn_us_at(soj, 0.99));
-    std::snprintf(p999, sizeof p999, "%.1f", sojourn_us_at(soj, 0.999));
-    char ops[32];
-    std::snprintf(ops, sizeof ops, "%.1f", ops_per_ms);
-    table.add_row({mode, std::to_string(threads),
-                   std::to_string(static_cast<uint64_t>(rate)), ops,
-                   soj.empty() ? "-" : p50, soj.empty() ? "-" : p99,
-                   soj.empty() ? "-" : p999});
-    rec = &json.add_record()
+    // Sojourn percentiles in µs; they appear only where sojourn was
+    // recorded: a 0 would read as one.
+    const double pcts[] = {0.50, 0.99, 0.999};
+    std::vector<std::string> cells{mode, std::to_string(threads),
+                                   std::to_string(static_cast<uint64_t>(rate)),
+                                   TableReport::num(ops_per_ms)};
+    for (double p : pcts)
+      cells.push_back(soj.empty()
+                          ? "-"
+                          : TableReport::num(harness::quantile(soj, p) / 1e3));
+    table.add_row(std::move(cells));
+    JsonReport::Record* rec = &json.add_record()
                .field("section", "ingest")
                .field("mode", mode)
                .field("scenario", "batch-random")
@@ -638,16 +610,15 @@ void ingest_section(const EnvConfig& env, JsonReport& json) {
                .field("batch_size", static_cast<uint64_t>(kBatch))
                .field("rate", rate)
                .field("ops_per_ms", ops_per_ms);
-    // Sojourn appears only where it was recorded: a 0 would read as one.
     if (!soj.empty()) {
-      rec->field("sojourn_us_p50", sojourn_us_at(soj, 0.50))
-          .field("sojourn_us_p99", sojourn_us_at(soj, 0.99))
-          .field("sojourn_us_p999", sojourn_us_at(soj, 0.999));
+      rec->field("sojourn_us_p50", harness::quantile(soj, 0.50) / 1e3)
+          .field("sojourn_us_p99", harness::quantile(soj, 0.99) / 1e3)
+          .field("sojourn_us_p999", harness::quantile(soj, 0.999) / 1e3);
     }
     return rec;
   };
 
-  // 1-2. Closed-loop batch baseline (the registry scenario, same mix) and
+  // 1-2. Closed-loop batch baseline (the harness scenario, same mix) and
   // group commit at full producer speed, as interleaved pairs on fresh
   // structures: with one 20 ms window per side their ratio swung between
   // 0.34x and 2.12x on a 4-CPU VM. Odd pairs run group commit first, so
@@ -684,11 +655,11 @@ void ingest_section(const EnvConfig& env, JsonReport& json) {
   }
   auto add_pairs_record = [&](const char* mode, std::vector<double>& runs) {
     std::sort(runs.begin(), runs.end());
-    const double median = quantile(runs, 0.5);
+    const double median = harness::quantile(runs, 0.5);
     add_record(mode, 0, median, {})
         ->field("runs", static_cast<uint64_t>(runs.size()))
-        .field("ops_per_ms_q1", quantile(runs, 0.25))
-        .field("ops_per_ms_q3", quantile(runs, 0.75));
+        .field("ops_per_ms_q1", harness::quantile(runs, 0.25))
+        .field("ops_per_ms_q3", harness::quantile(runs, 0.75));
     return median;
   };
   const double closed_ops =
@@ -699,11 +670,10 @@ void ingest_section(const EnvConfig& env, JsonReport& json) {
                 "(medians of %d pairs)\n",
                 kBatch, group_ops / closed_ops, kIngestPairs);
 
-  // 3. Open-loop firehose at DC_BENCH_RATE (default: half of measured
-  // group-commit capacity — a stable queue whose tail means something).
+  // 3. Open-loop firehose at half of the measured group-commit capacity: a
+  // stable queue whose tail means something.
   {
-    const double rate = env.arrival_rate > 0 ? env.arrival_rate
-                                             : 0.5 * group_ops * 1000.0;
+    const double rate = 0.5 * group_ops * 1000.0;
     ingest::IngestOptions opts = base;
     opts.record_sojourn = true;
     auto dc = make_variant(variant, g.num_vertices());
@@ -903,7 +873,7 @@ void list_registries() {
   }
 }
 
-int record_command(int argc, char** argv) {
+int record_command(int argc, char** argv, const EnvConfig& env) {
   if (argc < 4) {
     std::fprintf(stderr,
                  "usage: bench_suite --record <scenario> <path> [ops]\n");
@@ -917,7 +887,6 @@ int record_command(int argc, char** argv) {
   const std::size_t max_ops =
       argc > 4 ? static_cast<std::size_t>(std::strtoull(argv[4], nullptr, 10))
                : 100000;
-  const EnvConfig env = harness::env_config();
   const Graph g = bench::small_graphs(env).front();
   RunConfig cfg = base_config(env);
   cfg.threads = 1;
@@ -929,15 +898,45 @@ int record_command(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
+using Section = void (*)(const EnvConfig&, JsonReport&);
 
-int main(int argc, char** argv) {
+/// Every section, in default run order (DESIGN.md §6.4).
+constexpr std::pair<const char*, Section> kSections[] = {
+    {"graphs", graphs_section},     {"sweep", sweep_section},
+    {"stats", stats_section},       {"retries", retries_section},
+    {"ablation", ablation_section}, {"dsu", dsu_section},
+    {"memory", memory_section},     {"labels", labels_section},
+    {"ingest", ingest_section},
+};
+
+/// The sections DC_BENCH_SECTIONS names (default: all), resolved before any
+/// runs; an unknown name throws std::invalid_argument.
+std::vector<Section> selected_sections() {
+  std::vector<Section> out;
+  const std::vector<std::string> names = harness::env_list("DC_BENCH_SECTIONS");
+  if (names.empty()) {
+    for (const auto& [name, run] : kSections) out.push_back(run);
+  }
+  for (const std::string& name : names) {
+    const auto* it =
+        std::find_if(std::begin(kSections), std::end(kSections),
+                     [&](const auto& sec) { return name == sec.first; });
+    if (it == std::end(kSections)) {
+      throw std::invalid_argument("DC_BENCH_SECTIONS: unknown section \"" +
+                                  name + "\"");
+    }
+    out.push_back(it->second);
+  }
+  return out;
+}
+
+int run(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--list") == 0) {
     list_registries();
     return 0;
   }
   if (argc > 1 && std::strcmp(argv[1], "--record") == 0) {
-    return record_command(argc, argv);
+    return record_command(argc, argv, harness::env_config());
   }
   if (argc > 1) {
     std::fprintf(stderr,
@@ -947,8 +946,9 @@ int main(int argc, char** argv) {
     return std::strcmp(argv[1], "--help") == 0 ? 0 : 2;
   }
 
-  bench::print_env_banner("bench_suite: unified scenario x variant sweep");
   const EnvConfig env = harness::env_config();
+  const std::vector<Section> sections = selected_sections();
+  bench::print_env_banner("bench_suite: unified scenario x variant sweep", env);
 
   JsonReport json("bench_suite");
   json.meta("seed", env.seed);
@@ -960,33 +960,7 @@ int main(int argc, char** argv) {
   // Unconditional (not a DC_BENCH_SECTIONS member): every artifact must be
   // normalizable by bench_diff, whatever sections it was run with.
   calibration_record(json);
-
-  for (const std::string& section :
-       harness::env_list("DC_BENCH_SECTIONS",
-                         "graphs,sweep,stats,retries,ablation,dsu,memory,"
-                         "labels,ingest")) {
-    if (section == "graphs") {
-      graphs_section(env, json);
-    } else if (section == "sweep") {
-      sweep_section(env, json);
-    } else if (section == "stats") {
-      stats_section(env, json);
-    } else if (section == "retries") {
-      retries_section(env, json);
-    } else if (section == "ablation") {
-      ablation_section(env, json);
-    } else if (section == "dsu") {
-      dsu_section(env, json);
-    } else if (section == "memory") {
-      memory_section(env, json);
-    } else if (section == "labels") {
-      labels_section(env, json);
-    } else if (section == "ingest") {
-      ingest_section(env, json);
-    } else {
-      std::printf("# unknown section \"%s\" skipped\n", section.c_str());
-    }
-  }
+  for (Section section : sections) section(env, json);
 
   const char* json_env = std::getenv("DC_BENCH_JSON");
   const std::string json_path =
@@ -994,4 +968,15 @@ int main(int argc, char** argv) {
   json.save_file(json_path);
   std::printf("# %zu JSON records -> %s\n", json.size(), json_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_suite: %s\n", e.what());
+    return 2;
+  }
 }

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "api/factory.hpp"
+#include "harness/report.hpp"
 #include "util/random.hpp"
 
 namespace condyn::harness {
@@ -109,43 +110,73 @@ RunResult combine(std::vector<ThreadTotals>& totals, double elapsed_ms,
   }
   if (!samples.empty()) {
     std::sort(samples.begin(), samples.end());
-    const auto at = [&](double q) {
-      const auto idx = static_cast<std::size_t>(q * samples.size());
-      return samples[std::min(idx, samples.size() - 1)] / 1e3;
-    };
     uint64_t sum = 0;
     for (uint32_t ns : samples) sum += ns;
     r.latency_samples = samples.size();
     r.latency_us_avg = static_cast<double>(sum) / samples.size() / 1e3;
-    r.latency_us_p50 = at(0.50);
-    r.latency_us_p90 = at(0.90);
-    r.latency_us_p99 = at(0.99);
+    r.latency_us_p50 = quantile(samples, 0.50) / 1e3;
+    r.latency_us_p90 = quantile(samples, 0.90) / 1e3;
+    r.latency_us_p99 = quantile(samples, 0.99) / 1e3;
     r.latency_us_max = samples.back() / 1e3;
   }
   return r;
-}
-
-void exec_op(DynamicConnectivity& dc, const Op& op) {
-  exec_single(dc, op);  // the one per-kind dispatch (api header)
 }
 
 void count_kind(ThreadTotals& t, OpKind kind) noexcept {
   ++t.by_kind[static_cast<std::size_t>(kind)];
 }
 
-/// Refill `buf` with up to buf.capacity-of-batch ops; returns the filled
-/// count (0 = stream exhausted).
-std::size_t fill_batch(OpStream& stream, std::vector<Op>& buf,
-                       std::size_t batch_size) {
-  buf.clear();
+/// One step of a worker, shared by both drivers: the next op, or with
+/// caps.batched the next chunk of up to `batch_size` ops through apply_batch,
+/// counted into `mine` (batch latency when batched, per-op latency when
+/// caps.tracks_latency). Returns false once the stream is exhausted.
+bool measured_step(const ScenarioCaps& caps, DynamicConnectivity& dc,
+                   OpStream& stream, std::vector<Op>& buf,
+                   std::size_t batch_size, ThreadTotals& mine) {
+  if (caps.batched) {
+    buf.clear();
+    Op op;
+    while (buf.size() < batch_size && stream.next(op)) buf.push_back(op);
+    if (buf.empty()) return false;
+    const uint64_t t0 = lock_stats::now_ns();
+    dc.apply_batch(buf);
+    const uint64_t ns = lock_stats::now_ns() - t0;
+    mine.ops += buf.size();
+    for (const Op& o : buf) count_kind(mine, o.kind);
+    ++mine.batches;
+    mine.batch_ns_total += ns;
+    mine.batch_ns_max = std::max(mine.batch_ns_max, ns);
+    return true;
+  }
   Op op;
-  while (buf.size() < batch_size && stream.next(op)) buf.push_back(op);
-  return buf.size();
+  if (!stream.next(op)) return false;
+  if (caps.tracks_latency) {
+    const uint64_t t0 = lock_stats::now_ns();
+    exec_single(dc, op);
+    mine.latency_ns.push_back(clamped_ns(lock_stats::now_ns() - t0));
+  } else {
+    exec_single(dc, op);
+  }
+  ++mine.ops;
+  count_kind(mine, op.kind);
+  return true;
+}
+
+/// Measurement starts with clean per-thread counters.
+void reset_counters() {
+  op_stats::reset_local();
+  lock_stats::reset_local();
+  pool_stats::reset_local();
+}
+
+void collect_counters(ThreadTotals& mine) {
+  mine.op_counters = op_stats::local();
+  mine.lock_counters = lock_stats::local();
+  mine.mem_counters = pool_stats::local();
 }
 
 /// Timed-window driver for infinite streams: warmup, then a measured window
-/// with clean per-thread counters. With `batched`, ops are submitted through
-/// apply_batch in chunks of cfg.batch_size and per-batch latency is tracked.
+/// with clean per-thread counters.
 RunResult run_timed(const ScenarioInfo& s, DynamicConnectivity& dc,
                     const Graph& g, const RunConfig& cfg) {
   std::atomic<int> phase{0};  // 0 = warmup, 1 = measure, 2 = stop
@@ -158,52 +189,17 @@ RunResult run_timed(const ScenarioInfo& s, DynamicConnectivity& dc,
     workers.emplace_back([&, t] {
       const std::unique_ptr<OpStream> stream = s.make_stream(g, cfg, t);
       std::vector<Op> buf;
-      if (s.caps.batched) buf.reserve(cfg.batch_size);
-      Op op;
+      ThreadTotals warmup;  // discarded
       start.arrive_and_wait();
-      while (phase.load(std::memory_order_acquire) == 0) {
-        if (s.caps.batched) {
-          if (fill_batch(*stream, buf, cfg.batch_size) == 0) break;
-          dc.apply_batch(buf);
-        } else {
-          if (!stream->next(op)) break;
-          exec_op(dc, op);
-        }
+      while (phase.load(std::memory_order_acquire) == 0 &&
+             measured_step(s.caps, dc, *stream, buf, cfg.batch_size, warmup)) {
       }
-      // Measurement starts with clean per-thread counters.
-      op_stats::reset_local();
-      lock_stats::reset_local();
-      pool_stats::reset_local();
+      reset_counters();
       ThreadTotals& mine = totals[t];
-      while (phase.load(std::memory_order_acquire) == 1) {
-        if (s.caps.batched) {
-          const std::size_t n = fill_batch(*stream, buf, cfg.batch_size);
-          if (n == 0) break;
-          const uint64_t b0 = lock_stats::now_ns();
-          dc.apply_batch(buf);
-          const uint64_t ns = lock_stats::now_ns() - b0;
-          mine.ops += n;
-          for (const Op& o : buf) count_kind(mine, o.kind);
-          ++mine.batches;
-          mine.batch_ns_total += ns;
-          mine.batch_ns_max = std::max(mine.batch_ns_max, ns);
-        } else if (s.caps.tracks_latency) {
-          if (!stream->next(op)) break;
-          const uint64_t t0 = lock_stats::now_ns();
-          exec_op(dc, op);
-          mine.latency_ns.push_back(clamped_ns(lock_stats::now_ns() - t0));
-          ++mine.ops;
-          count_kind(mine, op.kind);
-        } else {
-          if (!stream->next(op)) break;
-          exec_op(dc, op);
-          ++mine.ops;
-          count_kind(mine, op.kind);
-        }
+      while (phase.load(std::memory_order_acquire) == 1 &&
+             measured_step(s.caps, dc, *stream, buf, cfg.batch_size, mine)) {
       }
-      mine.op_counters = op_stats::local();
-      mine.lock_counters = lock_stats::local();
-      mine.mem_counters = pool_stats::local();
+      collect_counters(mine);
     });
   }
 
@@ -231,44 +227,12 @@ RunResult run_finite(const ScenarioInfo& s, DynamicConnectivity& dc,
     workers.emplace_back([&, t] {
       const std::unique_ptr<OpStream> stream = s.make_stream(g, cfg, t);
       std::vector<Op> buf;
-      if (s.caps.batched) buf.reserve(cfg.batch_size);
       start.arrive_and_wait();
-      op_stats::reset_local();
-      lock_stats::reset_local();
-      pool_stats::reset_local();
+      reset_counters();
       ThreadTotals& mine = totals[t];
-      if (s.caps.batched) {
-        std::size_t n;
-        while ((n = fill_batch(*stream, buf, cfg.batch_size)) > 0) {
-          const uint64_t b0 = lock_stats::now_ns();
-          dc.apply_batch(buf);
-          const uint64_t ns = lock_stats::now_ns() - b0;
-          mine.ops += n;
-          for (const Op& o : buf) count_kind(mine, o.kind);
-          ++mine.batches;
-          mine.batch_ns_total += ns;
-          mine.batch_ns_max = std::max(mine.batch_ns_max, ns);
-        }
-      } else if (s.caps.tracks_latency) {
-        Op op;
-        while (stream->next(op)) {
-          const uint64_t b0 = lock_stats::now_ns();
-          exec_op(dc, op);
-          mine.latency_ns.push_back(clamped_ns(lock_stats::now_ns() - b0));
-          ++mine.ops;
-          count_kind(mine, op.kind);
-        }
-      } else {
-        Op op;
-        while (stream->next(op)) {
-          exec_op(dc, op);
-          ++mine.ops;
-          count_kind(mine, op.kind);
-        }
+      while (measured_step(s.caps, dc, *stream, buf, cfg.batch_size, mine)) {
       }
-      mine.op_counters = op_stats::local();
-      mine.lock_counters = lock_stats::local();
-      mine.mem_counters = pool_stats::local();
+      collect_counters(mine);
     });
   }
   start.arrive_and_wait();
@@ -293,36 +257,12 @@ RunConfig validated(const RunConfig& cfg) {
   RunConfig out = cfg;
   out.read_percent = std::clamp(out.read_percent, 0, 100);
   if (out.batch_size == 0) out.batch_size = 1;
-  // Generator knobs: clamp rather than reject — sweeps feed raw env values.
-  out.zipf_theta = std::clamp(out.zipf_theta, 0.01, 0.999);
-  out.window_fraction = std::clamp(out.window_fraction, 0.01, 1.0);
-  if (out.communities == 0) out.communities = 1;
-  if (out.run_length == 0) out.run_length = 1;
-  if (out.arrival_rate < 0) out.arrival_rate = 0;
-  return out;
-}
-
-RunConfig validated(const RunConfig& cfg, const ScenarioCaps& caps) {
-  RunConfig out = validated(cfg);
-  if (out.arrival_rate > 0) {
-    if (caps.batched) {
-      // A paced *batched* run would sleep inside fill_batch: the arrival
-      // schedule would gate batch assembly, so neither the closed-loop
-      // apply_batch cost nor the open-loop sojourn is what gets measured.
-      // This is a config bug, not a preference — reject it loudly.
-      throw std::invalid_argument(
-          "RunConfig: arrival_rate (DC_BENCH_RATE) is incompatible with a "
-          "batched closed-loop scenario; use the firehose scenario or the "
-          "bench ingest section for paced runs");
-    }
-    if (!caps.paced) out.arrival_rate = 0;  // no pacing hook: ignore
-  }
   return out;
 }
 
 RunResult run_scenario(const ScenarioInfo& s, DynamicConnectivity& dc,
                        const Graph& g, const RunConfig& raw) {
-  RunConfig cfg = validated(raw, s.caps);
+  RunConfig cfg = validated(raw);
   if (s.caps.needs_trace && cfg.preloaded_trace == nullptr) {
     // Load the trace once here, for two reasons: trace problems surface on
     // the caller thread (an exception escaping a worker's stream factory
@@ -385,6 +325,12 @@ bool all_digits(const std::string& s) {
   return true;
 }
 
+std::invalid_argument unknown_entry(const char* knob, const char* what,
+                                    const std::string& item) {
+  return std::invalid_argument(std::string(knob) + ": unknown " + what +
+                               " \"" + item + "\" (see bench_suite --list)");
+}
+
 }  // namespace
 
 std::vector<std::string> env_list(const char* name,
@@ -410,11 +356,6 @@ EnvConfig env_config() {
   if (const char* s = std::getenv("DC_BENCH_TRACE"); s != nullptr && *s) {
     cfg.trace_path = s;
   }
-  cfg.zipf_theta = env_double("DC_BENCH_ZIPF_THETA", 0.99);
-  cfg.window_fraction = env_double("DC_BENCH_WINDOW", 0.25);
-  cfg.communities = static_cast<unsigned>(env_u64("DC_BENCH_COMMUNITIES", 16));
-  cfg.run_length = static_cast<unsigned>(env_u64("DC_BENCH_RUNLEN", 64));
-  cfg.arrival_rate = env_double("DC_BENCH_RATE", 0);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   for (const std::string& item : env_list("DC_BENCH_THREADS")) {
@@ -427,17 +368,18 @@ EnvConfig env_config() {
   }
 
   for (const std::string& item : env_list("DC_BENCH_VARIANTS")) {
-    if (all_digits(item)) {
-      cfg.variants.push_back(std::stoi(item));
-    } else if (const VariantInfo* v = find_variant(item)) {
-      cfg.variants.push_back(v->id);
-    }
+    const VariantInfo* v = all_digits(item) ? find_variant(std::stoi(item))
+                                            : find_variant(item);
+    if (v == nullptr) throw unknown_entry("DC_BENCH_VARIANTS", "variant", item);
+    cfg.variants.push_back(v->id);
   }
 
   for (const std::string& item : env_list("DC_BENCH_SCENARIOS")) {
     const ScenarioInfo* s = all_digits(item) ? find_scenario(std::stoi(item))
                                              : find_scenario(item);
-    if (s != nullptr) cfg.scenarios.push_back(s->name);
+    if (s == nullptr)
+      throw unknown_entry("DC_BENCH_SCENARIOS", "scenario", item);
+    cfg.scenarios.push_back(s->name);
   }
 
   // One run sweeps every listed size on the batch scenarios.

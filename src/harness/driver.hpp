@@ -27,31 +27,18 @@ namespace condyn::harness {
 //   DC_BENCH_BATCH_SIZES  comma list of batch sizes           (default
 //                      "1,16,64,256"; batch scenarios only; one run sweeps
 //                      every listed size)
+//   DC_BENCH_VARIANTS  comma list of variant names/ids        (default: the
+//                      caller's set)
 //   DC_BENCH_SCENARIOS comma list of scenario names/ids       (default: all
 //                      runnable — trace-replay needs DC_BENCH_TRACE)
 //   DC_BENCH_READS     comma list of read percentages         (default
 //                      "80,99"; read-mix scenarios only)
 //   DC_BENCH_TRACE     recorded trace path (trace-replay scenario)
-//   DC_BENCH_ZIPF_THETA   Zipf skew of the zipfian scenario   (default 0.99)
-//   DC_BENCH_WINDOW       sliding-window live fraction of the stripe
-//                         (default 0.25)
-//   DC_BENCH_COMMUNITIES  community count, component-local    (default 16)
-//   DC_BENCH_RUNLEN       ops per community before hopping    (default 64)
-//   DC_BENCH_RATE         open-loop target arrival rate, ops/sec aggregate
-//                         (default 0 = unpaced; paced scenarios only —
-//                         firehose and the bench `ingest` section)
 
 /// Validate a RunConfig before a driver runs it: rejects threads == 0,
 /// measure_ms <= 0 and warmup_ms < 0 with std::invalid_argument; returns a
 /// copy with read_percent clamped to [0, 100] and batch_size clamped to >= 1.
 RunConfig validated(const RunConfig& cfg);
-
-/// Caps-aware validation, called by run_scenario: everything above, plus
-/// knob/scenario compatibility. arrival_rate > 0 on a batched closed-loop
-/// scenario is rejected (pacing the batch filler measures neither the
-/// closed-loop nor the open-loop regime); on a non-paced scenario it is
-/// cleared to 0 (the stream has no pacing hook to honor it).
-RunConfig validated(const RunConfig& cfg, const ScenarioCaps& caps);
 
 /// Aggregated measurements of one run.
 struct RunResult {
@@ -108,10 +95,10 @@ struct EnvConfig {
   uint64_t seed;
   bool full;
   /// Variant ids to run, resolved from DC_BENCH_VARIANTS (comma list of ids
-  /// or names); empty = caller's default set.
+  /// or names); empty = unset, the caller's default set.
   std::vector<int> variants;
   /// Scenario names to run, resolved from DC_BENCH_SCENARIOS (comma list of
-  /// ids or names); empty = caller's default set.
+  /// ids or names); empty = unset, the caller's default set.
   std::vector<std::string> scenarios;
   /// Batch sizes to sweep, from DC_BENCH_BATCH_SIZES (batch scenarios
   /// only).
@@ -120,16 +107,12 @@ struct EnvConfig {
   std::vector<int> read_percents;
   /// Recorded trace path from DC_BENCH_TRACE (trace-replay scenario).
   std::string trace_path;
-  /// Generator knobs (see RunConfig for semantics and defaults).
-  double zipf_theta;
-  double window_fraction;
-  unsigned communities;
-  unsigned run_length;
-  /// Open-loop arrival rate from DC_BENCH_RATE (ops/sec aggregate; 0 =
-  /// unpaced). Only handed to paced scenarios / the ingest bench section.
-  double arrival_rate;
 };
 
+/// Resolve the DC_BENCH_* knobs. Throws std::invalid_argument naming the
+/// entry when DC_BENCH_VARIANTS or DC_BENCH_SCENARIOS lists a name or id
+/// no variant or scenario has: dropping it would leave an empty list, which
+/// callers read as "run everything".
 EnvConfig env_config();
 
 /// Comma-separated env list, entries trimmed, empties dropped; `fallback`

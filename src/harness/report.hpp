@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -97,5 +98,19 @@ class JsonReport {
 
 /// Render a JsonReport to its JSON text.
 std::string json_report(const JsonReport& report);
+
+/// Linear-interpolated quantile, p in [0, 1], of a sorted non-empty sample:
+/// the one percentile routine behind the harness's latency, sojourn and
+/// run-spread figures.
+template <typename T>
+double quantile(const std::vector<T>& sorted, double p) {
+  const double at = p * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = at - static_cast<double>(lo);
+  return static_cast<double>(sorted[lo]) +
+         (static_cast<double>(sorted[hi]) - static_cast<double>(sorted[lo])) *
+             frac;
+}
 
 }  // namespace condyn::harness

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -19,9 +18,9 @@ enum class Prefill {
   kFull,  ///< every edge pre-inserted (decremental start state)
 };
 
-/// Capability flags a scenario declares when it registers (DESIGN.md §6.1),
-/// mirroring VariantCaps: the driver, bench_suite and tests branch on these
-/// instead of hard-coding scenario names.
+/// Capability flags of a scenario (DESIGN.md §6.1), mirroring VariantCaps:
+/// the driver, bench_suite and tests branch on these instead of hard-coding
+/// scenario names.
 struct ScenarioCaps {
   /// Streams exhaust; the run measures time-to-completion (no warmup).
   /// Unset: streams are infinite and the run is a timed window.
@@ -36,65 +35,29 @@ struct ScenarioCaps {
   /// The driver times every individual operation and RunResult carries
   /// latency percentiles (the closed-loop measurement of trace-replay-dep).
   bool tracks_latency = false;
-  /// The stream paces itself to RunConfig::arrival_rate (DC_BENCH_RATE) —
-  /// the open-loop firehose family. validated(cfg, caps) clears
-  /// arrival_rate for non-paced scenarios and rejects it on batched ones.
-  bool paced = false;
   Prefill prefill = Prefill::kNone;
 };
 
 /// Factory for one worker thread's operation stream. Called once per worker
 /// before the start barrier (construction cost is excluded from timing);
 /// `thread` is the worker index in [0, cfg.threads).
-using StreamFactory = std::function<std::unique_ptr<OpStream>(
-    const Graph& g, const RunConfig& cfg, unsigned thread)>;
+using StreamFactory = std::unique_ptr<OpStream> (*)(const Graph& g,
+                                                    const RunConfig& cfg,
+                                                    unsigned thread);
 
-/// One registered workload scenario: name -> description -> generator
+/// One built-in workload scenario: name -> description -> generator
 /// factory -> capabilities.
 struct ScenarioInfo {
-  int id;            ///< 1..N, registration order
+  int id;            ///< 1..N, table order
   const char* name;  ///< stable identifier used in tables and DC_BENCH_SCENARIOS
   const char* description;
   ScenarioCaps caps;
   StreamFactory make_stream;
 };
 
-/// Name -> stream factory + capabilities registry, the workload-side mirror
-/// of VariantRegistry (api/registry.hpp): built-ins register on first access
-/// through an explicit hook rather than static initializers (a static
-/// library drops object files whose only content is an unreferenced
-/// registrar).
-class ScenarioRegistry {
- public:
-  static ScenarioRegistry& instance();
-
-  /// Register a scenario; ids are assigned sequentially in registration
-  /// order. Throws std::invalid_argument on duplicate names or when the
-  /// registry is full (kReserved entries — the bound that keeps previously
-  /// returned ScenarioInfo pointers stable). Not thread-safe: perform custom
-  /// registrations at startup, before concurrent lookups begin.
-  int add(const char* name, const char* description, ScenarioCaps caps,
-          StreamFactory make_stream);
-
-  /// Capacity bound: 14 built-ins plus room for custom scenarios.
-  static constexpr std::size_t kReserved = 24;
-
-  const std::vector<ScenarioInfo>& scenarios() const noexcept {
-    return scenarios_;
-  }
-  const ScenarioInfo* find(const std::string& name) const noexcept;
-  const ScenarioInfo* find(int id) const noexcept;
-
- private:
-  ScenarioRegistry() = default;
-  std::vector<ScenarioInfo> scenarios_;
-};
-
-/// Registration hook for the built-in scenarios, defined in scenario.cpp.
-void register_builtin_scenarios(ScenarioRegistry& r);
-
-/// Thin wrappers over ScenarioRegistry::instance(), matching factory.hpp.
-const std::vector<ScenarioInfo>& all_scenarios();
+/// The 12 built-in scenarios, one constant table in id order (scenario.cpp).
+std::span<const ScenarioInfo> all_scenarios();
+/// Lookup by name or id; nullptr when no scenario matches.
 const ScenarioInfo* find_scenario(const std::string& name);
 const ScenarioInfo* find_scenario(int id);
 

@@ -29,12 +29,9 @@ double zeta(uint64_t n, double theta) {
 }  // namespace
 
 ZipfianOpStream::ZipfianOpStream(const Graph& g, int read_percent,
-                                 uint64_t base_seed, unsigned thread,
-                                 double theta)
+                                 uint64_t base_seed, unsigned thread)
     : edges_(&g.edges()),
       m_(std::max<uint64_t>(1, g.num_edges())),
-      // theta = 1 divides by zero in alpha_; clamp to a sane open interval.
-      theta_(std::clamp(theta, 0.01, 0.999)),
       read_percent_(clamp_pct(read_percent)),
       rng_(mix64(base_seed ^ (0x21b5ull + thread))) {
   // Popularity permutation shared by every thread of a run: derived from the
@@ -43,10 +40,10 @@ ZipfianOpStream::ZipfianOpStream(const Graph& g, int read_percent,
   while (std::gcd(step_, m_) != 1) step_ += 2;
   step_ %= m_;  // 0 only when m_ == 1, where every rank maps to index 0
   offset_ = mix64(base_seed ^ 0x0ff5ull) % m_;
-  zetan_ = zeta(m_, theta_);
-  alpha_ = 1.0 / (1.0 - theta_);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(m_), 1.0 - theta_)) /
-         (1.0 - zeta(2, theta_) / zetan_);
+  zetan_ = zeta(m_, kTheta);
+  alpha_ = 1.0 / (1.0 - kTheta);
+  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(m_), 1.0 - kTheta)) /
+         (1.0 - zeta(2, kTheta) / zetan_);
 }
 
 uint64_t ZipfianOpStream::zipf_rank() noexcept {
@@ -54,7 +51,7 @@ uint64_t ZipfianOpStream::zipf_rank() noexcept {
   const double u = rng_.next_double();
   const double uz = u * zetan_;
   if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+  if (uz < 1.0 + std::pow(0.5, kTheta)) return 1;
   const auto r = static_cast<uint64_t>(
       static_cast<double>(m_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   return r >= m_ ? m_ - 1 : r;
@@ -72,13 +69,11 @@ bool ZipfianOpStream::next(Op& op) {
 }
 
 SlidingWindowStream::SlidingWindowStream(std::vector<Edge> stripe,
-                                         int read_percent, uint64_t seed,
-                                         double window_fraction)
+                                         int read_percent, uint64_t seed)
     : edges_(std::move(stripe)),
       window_(std::max<std::size_t>(
-          1, static_cast<std::size_t>(
-                 static_cast<double>(edges_.size()) *
-                 std::clamp(window_fraction, 0.01, 1.0)))),
+          1, static_cast<std::size_t>(static_cast<double>(edges_.size()) *
+                                      kWindowFraction))),
       read_percent_(clamp_pct(read_percent)),
       rng_(seed) {}
 
@@ -113,20 +108,16 @@ bool SlidingWindowStream::next(Op& op) {
 }
 
 ComponentLocalStream::ComponentLocalStream(const Graph& g, int read_percent,
-                                           unsigned communities,
-                                           uint64_t base_seed, unsigned thread,
-                                           unsigned run_length)
+                                           uint64_t base_seed, unsigned thread)
     : edges_(&g.edges()),
-      run_length_(std::max(1u, run_length)),
       read_percent_(clamp_pct(read_percent)),
       rng_(mix64(base_seed ^ (0xc0a1ull + thread))) {
-  if (communities == 0) communities = 1;
   const Vertex n = std::max<Vertex>(1, g.num_vertices());
-  const Vertex block = (n + communities - 1) / communities;
+  const Vertex block = (n + kCommunities - 1) / kCommunities;
   // Bucket edges by the community of their lower endpoint; an edge whose
   // endpoints straddle blocks still belongs to exactly one bucket, keeping
   // the partition total.
-  std::vector<std::vector<uint32_t>> buckets(communities);
+  std::vector<std::vector<uint32_t>> buckets(kCommunities);
   for (std::size_t i = 0; i < edges_->size(); ++i) {
     buckets[(*edges_)[i].u / block].push_back(static_cast<uint32_t>(i));
   }
@@ -139,7 +130,7 @@ bool ComponentLocalStream::next(Op& op) {
   if (buckets_.empty()) return false;
   if (run_left_ == 0) {
     current_ = rng_.next_below(buckets_.size());
-    run_left_ = run_length_;
+    run_left_ = kRunLength;
   }
   --run_left_;
   const std::vector<uint32_t>& bucket = buckets_[current_];
@@ -187,24 +178,6 @@ std::vector<Op> edge_partition(std::span<const Op> ops, unsigned thread,
   for (const Op& op : ops) {
     if (edge_partition_hash(op.u, op.v) % num_threads == thread)
       out.push_back(op);
-  }
-  return out;
-}
-
-std::vector<std::vector<Op>> update_batches(const std::vector<Edge>& edges,
-                                            std::size_t batch_size,
-                                            OpKind kind) {
-  std::vector<std::vector<Op>> out;
-  if (batch_size == 0) batch_size = 1;
-  out.reserve(edges.size() / batch_size + 1);
-  for (std::size_t i = 0; i < edges.size(); i += batch_size) {
-    std::vector<Op> batch;
-    const std::size_t end = std::min(edges.size(), i + batch_size);
-    batch.reserve(end - i);
-    for (std::size_t j = i; j < end; ++j) {
-      batch.push_back({kind, edges[j].u, edges[j].v});
-    }
-    out.push_back(std::move(batch));
   }
   return out;
 }

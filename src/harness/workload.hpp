@@ -27,26 +27,13 @@ struct RunConfig {
   int measure_ms = 300;
   std::size_t batch_size = 64;  ///< batch scenarios only
   std::string trace_path;       ///< trace-replay scenario only (DC_BENCH_TRACE)
-  // Generator knobs, exposed so skew/locality can be swept without
-  // recompiling (DC_BENCH_ZIPF_THETA / WINDOW / COMMUNITIES / RUNLEN);
-  // validated() clamps them to sane ranges.
-  double zipf_theta = 0.99;      ///< zipfian scenario skew, in (0, 1)
-  double window_fraction = 0.25; ///< sliding-window live share of the stripe
-  unsigned communities = 16;     ///< component-local community count
-  unsigned run_length = 64;      ///< component-local ops before hopping
-  /// Open-loop target arrival rate in ops/sec, aggregate across threads
-  /// (DC_BENCH_RATE); 0 = unpaced. Only paced scenarios (ScenarioCaps::
-  /// paced — firehose) honor it; validated(cfg, caps) *rejects* it on
-  /// batched closed-loop scenarios, where pacing the batch filler would
-  /// silently measure neither arrival process.
-  double arrival_rate = 0;
   /// Set by run_scenario for needs_trace scenarios: the trace loaded once
   /// for validation, shared with every worker's stream factory so a run
   /// doesn't re-read the file per thread. Leave unset to load trace_path.
   std::shared_ptr<const io::Trace> preloaded_trace;
 };
 
-/// Pull-based operation stream — the unit the scenario registry's factories
+/// Pull-based operation stream — the unit the scenario table's factories
 /// produce (scenario.hpp). Finite streams (incremental, decremental, trace
 /// replay) signal exhaustion by returning false; infinite mixes never do.
 class OpStream {
@@ -91,32 +78,6 @@ class RandomOpStream final : public OpStream {
   const std::vector<Edge>* edges_;
   int read_percent_;
   Xoshiro256 rng_;
-};
-
-/// Batch-size-parameterized generator over the same random mix: each next()
-/// refills a reusable buffer with `batch_size` draws, ready for apply_batch.
-/// The batched driver now chunks plain OpStreams itself, so this class is
-/// the library's span-producing generator for external batch submitters and
-/// the test oracle for the chunking contract (chunking must not change the
-/// underlying op sequence — tests/test_harness.cpp).
-class RandomBatchStream {
- public:
-  RandomBatchStream(const Graph& g, int read_percent, std::size_t batch_size,
-                    uint64_t seed)
-      // Clamp like update_batches: batch_size 0 would make every next()
-      // an empty span and the batch driver a busy-loop of no-op calls.
-      : stream_(g, read_percent, seed), batch_(batch_size == 0 ? 1 : batch_size) {}
-
-  std::span<const Op> next() noexcept {
-    for (Op& op : batch_) op = stream_.next();
-    return batch_;
-  }
-
-  std::size_t batch_size() const noexcept { return batch_.size(); }
-
- private:
-  RandomOpStream stream_;
-  std::vector<Op> batch_;
 };
 
 /// Read-heavy mix over the value-returning query vocabulary (the
@@ -169,8 +130,6 @@ class VectorOpStream final : public OpStream {
     return true;
   }
 
-  std::size_t size() const noexcept { return ops_.size(); }
-
  private:
   std::vector<Op> ops_;
   std::size_t pos_ = 0;
@@ -186,9 +145,8 @@ class ZipfianOpStream final : public OpStream {
  public:
   static constexpr double kTheta = 0.99;  // YCSB default skew
 
-  /// `theta` in (0, 1): higher = more skew (RunConfig::zipf_theta).
   ZipfianOpStream(const Graph& g, int read_percent, uint64_t base_seed,
-                  unsigned thread, double theta = kTheta);
+                  unsigned thread);
 
   bool next(Op& op) override;
 
@@ -204,7 +162,7 @@ class ZipfianOpStream final : public OpStream {
   uint64_t m_;
   uint64_t step_;    // coprime with m_: rank -> index is a bijection
   uint64_t offset_;
-  double theta_, zetan_, eta_, alpha_;
+  double zetan_, eta_, alpha_;
   int read_percent_;
   Xoshiro256 rng_;
 };
@@ -212,19 +170,18 @@ class ZipfianOpStream final : public OpStream {
 /// Sliding-window churn over this thread's stripe of the edge list: updates
 /// add a moving front edge and remove the trailing one, so the live window
 /// marches through the graph like a temporal stream; reads query inside the
-/// current window. The live edge count stays pinned near the window size.
+/// current window. The live edge count stays pinned near the window size,
+/// kWindowFraction of the stripe.
 class SlidingWindowStream final : public OpStream {
  public:
-  /// `window_fraction` in (0, 1]: live-window share of the stripe
-  /// (RunConfig::window_fraction).
+  static constexpr double kWindowFraction = 0.25;
+
   SlidingWindowStream(std::vector<Edge> stripe, int read_percent,
-                      uint64_t seed, double window_fraction = 0.25);
+                      uint64_t seed);
 
   bool next(Op& op) override;
 
   std::size_t window() const noexcept { return window_; }
-  /// Edges currently live (adds minus removes); bounded by window().
-  std::size_t live() const noexcept { return adds_ - removes_; }
 
  private:
   std::vector<Edge> edges_;
@@ -236,19 +193,18 @@ class SlidingWindowStream final : public OpStream {
   Xoshiro256 rng_;
 };
 
-/// Component-local mix: vertices are split into `communities` contiguous
-/// blocks and each thread works inside one community for a stretch of
+/// Component-local mix: vertices are split into kCommunities contiguous
+/// blocks and each thread works inside one community for kRunLength
 /// operations before hopping to another. Operations cluster inside one
 /// region of the graph — the locality that separates per-component
 /// synchronization (fine/full families) from global locks.
 class ComponentLocalStream final : public OpStream {
  public:
-  static constexpr unsigned kDefaultCommunities = 16;
-  static constexpr unsigned kRunLength = 64;  // default ops before hopping
+  static constexpr unsigned kCommunities = 16;
+  static constexpr unsigned kRunLength = 64;  // ops before hopping
 
-  ComponentLocalStream(const Graph& g, int read_percent, unsigned communities,
-                       uint64_t base_seed, unsigned thread,
-                       unsigned run_length = kRunLength);
+  ComponentLocalStream(const Graph& g, int read_percent, uint64_t base_seed,
+                       unsigned thread);
 
   bool next(Op& op) override;
 
@@ -258,7 +214,6 @@ class ComponentLocalStream final : public OpStream {
   const std::vector<Edge>* edges_;
   std::vector<std::vector<uint32_t>> buckets_;  // edge indices per community
   std::size_t current_ = 0;
-  unsigned run_length_;
   unsigned run_left_ = 0;
   int read_percent_;
   Xoshiro256 rng_;
@@ -290,8 +245,6 @@ class PacedStream final : public OpStream {
     }
     return true;
   }
-
-  uint64_t interval_ns() const noexcept { return interval_ns_; }
 
  private:
   static uint64_t now_ns() noexcept {
@@ -329,12 +282,5 @@ uint64_t edge_partition_hash(Vertex u, Vertex v) noexcept;
 /// replay matches the sequential one.
 std::vector<Op> edge_partition(std::span<const Op> ops, unsigned thread,
                                unsigned num_threads);
-
-/// Chop an edge list into apply_batch-ready batches of `kind` updates
-/// (kAdd to build a structure up — e.g. batch pre-fill — kRemove to
-/// tear one down). The final batch holds the remainder.
-std::vector<std::vector<Op>> update_batches(const std::vector<Edge>& edges,
-                                            std::size_t batch_size,
-                                            OpKind kind);
 
 }  // namespace condyn::harness

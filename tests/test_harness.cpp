@@ -19,7 +19,7 @@
 namespace condyn {
 namespace {
 
-/// The registry entry of a built-in scenario.
+/// The table entry of a built-in scenario.
 const harness::ScenarioInfo& builtin(const char* name) {
   const harness::ScenarioInfo* s = harness::find_scenario(name);
   if (s == nullptr)
@@ -125,68 +125,6 @@ TEST(Workload, RunConfigValidation) {
   EXPECT_THROW(
       harness::run_scenario(builtin("random"), *dc, g, bad_threads),
       std::invalid_argument);
-}
-
-TEST(Workload, ValidationRejectsArrivalRateOnClosedLoopBatchScenarios) {
-  harness::RunConfig cfg;
-  cfg.arrival_rate = 50000;
-
-  // A batched closed-loop scenario cannot honor an open-loop rate: pacing
-  // the batch filler measures neither regime, so it must throw loudly
-  // (a global DC_BENCH_RATE silently distorting batch numbers would be
-  // worse than an error).
-  harness::ScenarioCaps batched;
-  batched.batched = true;
-  EXPECT_THROW(harness::validated(cfg, batched), std::invalid_argument);
-
-  // Non-paced per-op scenarios have no pacing hook: the rate is cleared,
-  // not an error, so one exported DC_BENCH_RATE doesn't break a sweep.
-  harness::ScenarioCaps plain;
-  EXPECT_EQ(harness::validated(cfg, plain).arrival_rate, 0.0);
-
-  // Paced scenarios (firehose) keep the rate.
-  harness::ScenarioCaps paced;
-  paced.paced = true;
-  EXPECT_EQ(harness::validated(cfg, paced).arrival_rate, 50000.0);
-
-  // A negative rate is clamped to "unpaced" everywhere.
-  cfg.arrival_rate = -1;
-  EXPECT_EQ(harness::validated(cfg, paced).arrival_rate, 0.0);
-
-  // End to end: the batch driver rejects the env knob combination.
-  cfg = harness::RunConfig{};
-  cfg.arrival_rate = 1000;
-  cfg.measure_ms = 5;
-  cfg.warmup_ms = 0;
-  Graph g = gen::erdos_renyi(20, 40, 2);
-  auto dc = make_variant(1, g.num_vertices());
-  EXPECT_THROW(harness::run_scenario(builtin("batch-random"), *dc, g, cfg),
-               std::invalid_argument);
-}
-
-TEST(Workload, BatchStreamMatchesPerOpStream) {
-  Graph g = gen::erdos_renyi(40, 100, 5);
-  harness::RandomOpStream ops(g, 80, 123);
-  harness::RandomBatchStream batches(g, 80, 32, 123);
-  // Same seed: the batch stream is just the per-op stream, chunked.
-  for (int round = 0; round < 5; ++round) {
-    const std::span<const Op> batch = batches.next();
-    ASSERT_EQ(batch.size(), 32u);
-    for (const Op& op : batch) EXPECT_EQ(op, ops.next());
-  }
-}
-
-TEST(Workload, UpdateBatchesCoverTheEdgeList) {
-  Graph g = gen::erdos_renyi(60, 150, 4);
-  const auto batches = harness::update_batches(g.edges(), 64, OpKind::kAdd);
-  ASSERT_EQ(batches.size(), (g.num_edges() + 63) / 64);
-  std::size_t total = 0;
-  for (const auto& b : batches) {
-    EXPECT_LE(b.size(), 64u);
-    for (const Op& op : b) EXPECT_EQ(op.kind, OpKind::kAdd);
-    total += b.size();
-  }
-  EXPECT_EQ(total, g.num_edges());
 }
 
 TEST(Driver, RandomScenarioProducesThroughput) {
@@ -308,6 +246,19 @@ TEST(Report, JsonReportIsWellFormed) {
             std::count(out.begin(), out.end(), '}'));
   EXPECT_EQ(std::count(out.begin(), out.end(), '['),
             std::count(out.begin(), out.end(), ']'));
+}
+
+TEST(Report, QuantileInterpolatesSortedSamples) {
+  const std::vector<double> runs{10, 20, 30, 40, 50};
+  EXPECT_DOUBLE_EQ(harness::quantile(runs, 0.0), 10);
+  EXPECT_DOUBLE_EQ(harness::quantile(runs, 0.25), 20);
+  EXPECT_DOUBLE_EQ(harness::quantile(runs, 0.5), 30);
+  EXPECT_DOUBLE_EQ(harness::quantile(runs, 0.9), 46);  // between 40 and 50
+  EXPECT_DOUBLE_EQ(harness::quantile(runs, 1.0), 50);
+  // Integer samples (latency and sojourn nanoseconds) read the same way.
+  const std::vector<uint32_t> ns{100, 300};
+  EXPECT_DOUBLE_EQ(harness::quantile(ns, 0.5), 200);
+  EXPECT_DOUBLE_EQ(harness::quantile(std::vector<uint32_t>{7}, 0.99), 7);
 }
 
 TEST(Report, TableAlignsColumns) {

@@ -1,4 +1,4 @@
-// Scenario-engine coverage: the scenario registry mirrors VariantRegistry,
+// Scenario-engine coverage: the scenario table holds exactly the built-ins,
 // every generator is deterministic per seed, the binary trace format
 // round-trips, record->replay reproduces the exact stream, and every
 // registered scenario x every registered variant agrees with the sequential
@@ -54,27 +54,28 @@ const std::string& shared_trace_path(const Graph& g) {
 Graph tiny_graph() { return gen::erdos_renyi(24, 60, 3); }
 
 TEST(ScenarioRegistry, EnumeratesTheBuiltins) {
-  const auto& scenarios = harness::all_scenarios();
-  EXPECT_GE(scenarios.size(), 16u);
-  // Ids are sequential in registration order, names unique.
+  // Exactly the built-ins, ids 1..12 in table order, names unique and each
+  // round-tripping through both lookups.
+  const char* const kNames[] = {
+      "random",           "incremental",       "decremental",
+      "batch-random",     "batch-incremental", "zipfian",
+      "sliding-window",   "component-local",   "trace-replay",
+      "trace-replay-dep", "size-query",        "bulk-connected"};
+  const auto scenarios = harness::all_scenarios();
+  ASSERT_EQ(scenarios.size(), std::size(kNames));
   std::set<std::string> names;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_EQ(scenarios[i].id, static_cast<int>(i) + 1);
-    EXPECT_TRUE(names.insert(scenarios[i].name).second);
-  }
-  for (const char* name :
-       {"random", "incremental", "decremental", "batch-random",
-        "batch-incremental", "zipfian", "sliding-window", "component-local",
-        "trace-replay", "trace-replay-dep", "size-query", "bulk-connected",
-        "batch-zipfian", "batch-window", "batch-component-local"}) {
-    const ScenarioInfo* s = harness::find_scenario(name);
-    ASSERT_NE(s, nullptr) << name;
-    EXPECT_STREQ(s->name, name);
-    EXPECT_EQ(harness::find_scenario(s->id), s);
+    const ScenarioInfo& s = scenarios[i];
+    EXPECT_EQ(s.id, static_cast<int>(i) + 1);
+    EXPECT_STREQ(s.name, kNames[i]);
+    EXPECT_TRUE(names.insert(s.name).second) << s.name;
+    EXPECT_EQ(harness::find_scenario(s.name), &s);
+    EXPECT_EQ(harness::find_scenario(s.id), &s);
   }
   EXPECT_EQ(harness::find_scenario("no-such-scenario"), nullptr);
+  EXPECT_EQ(harness::find_scenario("firehose"), nullptr);
   EXPECT_EQ(harness::find_scenario(0), nullptr);
-  EXPECT_EQ(harness::find_scenario(1000), nullptr);
+  EXPECT_EQ(harness::find_scenario(13), nullptr);
   // Caps match the scenario contracts the driver branches on.
   EXPECT_TRUE(harness::find_scenario("incremental")->caps.finite);
   EXPECT_TRUE(harness::find_scenario("batch-random")->caps.batched);
@@ -89,15 +90,6 @@ TEST(ScenarioRegistry, EnumeratesTheBuiltins) {
   EXPECT_FALSE(harness::find_scenario("size-query")->caps.batched);
   EXPECT_TRUE(harness::find_scenario("bulk-connected")->caps.batched);
   EXPECT_FALSE(harness::find_scenario("bulk-connected")->caps.uses_read_percent);
-  EXPECT_TRUE(harness::find_scenario("batch-zipfian")->caps.batched);
-  EXPECT_TRUE(harness::find_scenario("batch-window")->caps.batched);
-  // The batched community-locality mix keeps the unbatched scenario's knobs.
-  EXPECT_TRUE(harness::find_scenario("batch-component-local")->caps.batched);
-  EXPECT_TRUE(
-      harness::find_scenario("batch-component-local")->caps.uses_read_percent);
-  EXPECT_EQ(harness::find_scenario("batch-component-local")->caps.prefill,
-            harness::Prefill::kHalf);
-  EXPECT_FALSE(harness::find_scenario("batch-component-local")->caps.finite);
   EXPECT_EQ(harness::find_scenario("bulk-connected")->caps.prefill,
             harness::Prefill::kHalf);
 }
@@ -141,16 +133,6 @@ TEST(ScenarioStreams, BulkConnectedIsPureQueries) {
     ASSERT_TRUE(stream->next(op));
     EXPECT_EQ(op.kind, OpKind::kConnected) << "op " << i;
   }
-}
-
-TEST(ScenarioRegistry, RejectsDuplicateNames) {
-  EXPECT_THROW(harness::ScenarioRegistry::instance().add(
-                   "random", "dup", {},
-                   [](const Graph& g, const RunConfig& cfg, unsigned) {
-                     return std::make_unique<harness::RandomOpStream>(
-                         g, cfg.read_percent, 0);
-                   }),
-               std::invalid_argument);
 }
 
 TEST(ScenarioStreams, SameSeedSameStream) {
@@ -225,77 +207,6 @@ TEST(ScenarioStreams, ZipfianIsSkewedAndInBounds) {
   }
 }
 
-TEST(ScenarioStreams, ZipfThetaControlsSkew) {
-  // The DC_BENCH_ZIPF_THETA knob: higher theta concentrates more draws on
-  // the hottest edge. Compare the hottest-edge share at two thetas.
-  const Graph g = tiny_graph();
-  auto hottest_share = [&](double theta) {
-    harness::ZipfianOpStream stream(g, 0, 9, 0, theta);
-    std::map<Edge, int> hits;
-    Op op;
-    for (int i = 0; i < 20000; ++i) {
-      EXPECT_TRUE(stream.next(op));
-      ++hits[Edge(op.u, op.v)];
-    }
-    int hottest = 0;
-    for (const auto& [e, n] : hits) hottest = std::max(hottest, n);
-    return hottest;
-  };
-  EXPECT_GT(hottest_share(0.99), hottest_share(0.5) * 3 / 2);
-}
-
-TEST(ScenarioStreams, KnobsFlowThroughRunConfig) {
-  // The registry factories must pass RunConfig's generator knobs to the
-  // streams: changed knobs produce visibly different op sequences.
-  const Graph g = tiny_graph();
-  for (const char* name : {"zipfian", "component-local"}) {
-    const ScenarioInfo* s = harness::find_scenario(name);
-    ASSERT_NE(s, nullptr);
-    RunConfig base;
-    RunConfig tweaked = base;
-    tweaked.zipf_theta = 0.2;
-    tweaked.communities = 3;
-    tweaked.run_length = 5;
-    auto sa = s->make_stream(g, base, 0);
-    auto sb = s->make_stream(g, tweaked, 0);
-    int diffs = 0;
-    Op oa, ob;
-    for (int i = 0; i < 500; ++i) {
-      ASSERT_TRUE(sa->next(oa) && sb->next(ob));
-      diffs += oa != ob;
-    }
-    EXPECT_GT(diffs, 0) << name << ": knob change had no effect";
-  }
-  const ScenarioInfo* s = harness::find_scenario("sliding-window");
-  ASSERT_NE(s, nullptr);
-  RunConfig half;
-  half.window_fraction = 0.5;
-  auto stream = s->make_stream(g, half, 0);
-  (void)stream;  // construction applies the fraction; window size below
-  harness::SlidingWindowStream direct(g.edges(), 40, 7, 0.5);
-  EXPECT_EQ(direct.window(), g.edges().size() / 2);
-}
-
-TEST(ScenarioStreams, RunLengthKnobControlsHopCadence) {
-  const Graph g = tiny_graph();
-  constexpr unsigned kRun = 8;
-  harness::ComponentLocalStream stream(g, 50, 4, 13, 0, kRun);
-  const Vertex block = (g.num_vertices() + 3) / 4;
-  Op op;
-  for (int run = 0; run < 30; ++run) {
-    Vertex community = 0;
-    for (unsigned i = 0; i < kRun; ++i) {
-      ASSERT_TRUE(stream.next(op));
-      const Vertex c = std::min(op.u, op.v) / block;
-      if (i == 0) {
-        community = c;
-      } else {
-        EXPECT_EQ(c, community) << "run " << run << " op " << i;
-      }
-    }
-  }
-}
-
 TEST(ScenarioStreams, SlidingWindowKeepsLiveCountBounded) {
   const Graph g = tiny_graph();
   harness::SlidingWindowStream stream(g.edges(), 40, 7);
@@ -325,18 +236,17 @@ TEST(ScenarioStreams, SlidingWindowKeepsLiveCountBounded) {
 }
 
 TEST(ScenarioStreams, ComponentLocalOpsStayInOneCommunityPerRun) {
+  using Stream = harness::ComponentLocalStream;
   const Graph g = tiny_graph();
-  harness::ComponentLocalStream stream(
-      g, 50, harness::ComponentLocalStream::kDefaultCommunities, 13, 0);
+  Stream stream(g, 50, 13, 0);
   EXPECT_GE(stream.num_communities(), 2u);
   const Vertex block =
-      (g.num_vertices() + harness::ComponentLocalStream::kDefaultCommunities -
-       1) /
-      harness::ComponentLocalStream::kDefaultCommunities;
+      (g.num_vertices() + Stream::kCommunities - 1) / Stream::kCommunities;
+  std::set<Vertex> visited;
   Op op;
   for (int run = 0; run < 20; ++run) {
     Vertex community = 0;
-    for (unsigned i = 0; i < harness::ComponentLocalStream::kRunLength; ++i) {
+    for (unsigned i = 0; i < Stream::kRunLength; ++i) {
       ASSERT_TRUE(stream.next(op));
       const Vertex c = std::min(op.u, op.v) / block;
       if (i == 0) {
@@ -345,7 +255,11 @@ TEST(ScenarioStreams, ComponentLocalOpsStayInOneCommunityPerRun) {
         EXPECT_EQ(c, community) << "run " << run << " op " << i;
       }
     }
+    visited.insert(community);
   }
+  // Each run boundary draws a fresh community: 20 runs do not all land in
+  // one.
+  EXPECT_GE(visited.size(), 2u);
 }
 
 TEST(TraceIo, RoundTripsThroughTheBinaryFormat) {
@@ -518,19 +432,55 @@ TEST(ScenarioDriver, PrefillMatchesCaps) {
   for (const Op& op : full) EXPECT_EQ(op.kind, OpKind::kAdd);
 }
 
+/// env_config() with one variable set, restored afterwards; returns the
+/// std::invalid_argument message, or "" when it resolved.
+std::string env_config_error(const char* name, const char* value) {
+  ::setenv(name, value, 1);
+  std::string error;
+  try {
+    harness::env_config();
+  } catch (const std::invalid_argument& e) {
+    error = e.what();
+  }
+  ::unsetenv(name);
+  return error;
+}
+
 TEST(ScenarioDriver, EnvConfigResolvesScenarioNamesAndIds) {
-  ::setenv("DC_BENCH_SCENARIOS", "zipfian, 1 ,no-such, trace-replay", 1);
+  ::setenv("DC_BENCH_SCENARIOS", "zipfian, 1 , trace-replay", 1);
+  ::setenv("DC_BENCH_VARIANTS", "full, 1", 1);
   ::setenv("DC_BENCH_READS", "70,101,30", 1);
   const harness::EnvConfig env = harness::env_config();
   ::unsetenv("DC_BENCH_SCENARIOS");
+  ::unsetenv("DC_BENCH_VARIANTS");
   ::unsetenv("DC_BENCH_READS");
   ASSERT_EQ(env.scenarios.size(), 3u);
   EXPECT_EQ(env.scenarios[0], "zipfian");
-  EXPECT_EQ(env.scenarios[1], "random");  // id 1 resolved through the registry
+  EXPECT_EQ(env.scenarios[1], "random");  // id 1 resolved through the table
   EXPECT_EQ(env.scenarios[2], "trace-replay");
+  ASSERT_EQ(env.variants.size(), 2u);
+  EXPECT_EQ(env.variants[0], find_variant("full")->id);
+  EXPECT_EQ(env.variants[1], 1);
   ASSERT_EQ(env.read_percents.size(), 2u);  // 101 rejected
   EXPECT_EQ(env.read_percents[0], 70);
   EXPECT_EQ(env.read_percents[1], 30);
+
+  // An unknown entry throws, naming it, instead of being dropped: an
+  // all-unknown list would otherwise come back empty and run everything.
+  for (const char* list : {"zipfian,no-such", "firehose", "13"}) {
+    const std::string error = env_config_error("DC_BENCH_SCENARIOS", list);
+    EXPECT_NE(error.find("DC_BENCH_SCENARIOS"), std::string::npos) << list;
+  }
+  EXPECT_NE(env_config_error("DC_BENCH_SCENARIOS", "random,no-such")
+                .find("\"no-such\""),
+            std::string::npos);
+  for (const char* list : {"full,no-such", "pbd", "999"}) {
+    const std::string error = env_config_error("DC_BENCH_VARIANTS", list);
+    EXPECT_NE(error.find("DC_BENCH_VARIANTS"), std::string::npos) << list;
+  }
+  EXPECT_NE(
+      env_config_error("DC_BENCH_VARIANTS", "coarse,no-such").find("\"no-such\""),
+      std::string::npos);
 }
 
 }  // namespace
