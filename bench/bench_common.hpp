@@ -41,7 +41,7 @@ inline std::vector<int> variant_set(const harness::EnvConfig& env,
   return env.variants.empty() ? std::move(defaults) : env.variants;
 }
 
-/// Every registered variant id, in registry (= paper) order.
+/// Every variant id, in table (= paper) order.
 inline std::vector<int> all_variant_ids() {
   std::vector<int> ids;
   for (const VariantInfo& v : all_variants()) ids.push_back(v.id);

@@ -1,6 +1,6 @@
 // bench_suite — the unified benchmark binary. Replaces the 15 single-figure
 // mains: it enumerates both axes (every scenario in
-// harness::all_scenarios() × every variant in VariantRegistry × thread
+// harness::all_scenarios() × every variant in all_variants() × thread
 // counts), prints the familiar per-graph text series/tables, and emits a
 // machine-readable JSON report (harness::JsonReport, DESIGN.md §6.3) so the
 // perf trajectory is trackable across PRs.
@@ -773,7 +773,7 @@ void calibration_record(JsonReport& json) {
   cfg.warmup_ms = 20;
   cfg.measure_ms = 100;
   // By name, not id: the record's label and the measured variant must never
-  // drift apart if the registry is ever reordered.
+  // drift apart if the variant table is ever reordered.
   auto dc = make_variant("coarse", g.num_vertices());
   const RunResult r = harness::run_scenario(builtin("random"), *dc, g, cfg);
   std::printf("# calibration (coarse, 1 thread, fixed config): %.1f ops/ms\n",
@@ -803,6 +803,14 @@ class DsuDc final : public DynamicConnectivity {
   bool connected(Vertex u, Vertex v) override {
     std::lock_guard<SpinLock> lk(mu_);
     return dsu_.connected(u, v);
+  }
+  uint64_t component_size(Vertex u) override {
+    std::lock_guard<SpinLock> lk(mu_);
+    return dsu_.component_size(u);
+  }
+  Vertex representative(Vertex u) override {
+    std::lock_guard<SpinLock> lk(mu_);
+    return dsu_.representative(u);
   }
   Vertex num_vertices() const override { return dsu_.num_vertices(); }
   std::string name() const override { return "dsu (incremental-only)"; }
@@ -861,15 +869,10 @@ void list_registries() {
   }
   std::printf("\nVariants (%zu registered):\n", all_variants().size());
   for (const VariantInfo& v : all_variants()) {
-    std::printf("  %2d  %-18s [%s%s%s%s%s]  %s\n", v.id, v.name,
-                v.caps.native_batch ? "batch" : "per-op",
-                v.caps.lock_free_reads ? ",nbreads" : "",
+    std::printf("  %2d  %-18s [%s%s%s]  %s\n", v.id, v.name,
+                v.caps.lock_free_reads ? "nbreads" : "blocking",
                 v.caps.atomic_batch ? ",atomic" : "",
-                v.caps.combining ? ",combining" : "",
-                v.caps.sized_components && v.caps.stable_representative
-                    ? ",values"
-                    : "",
-                v.description);
+                v.caps.combining ? ",combining" : "", v.description);
   }
 }
 

@@ -6,7 +6,7 @@
 // worker an arbitrary slice of a mixed batch and let them run. This example
 // submits mixed batches of adds/removes/queries through the batch API
 // (DESIGN.md §5): a sequential reference replays each region's batches on a
-// registry-enumerated single-lock variant, then workers feed the same
+// table-enumerated single-lock variant, then workers feed the same
 // batches to a concurrent variant via apply_batch — one call per batch, not
 // one per op — and the per-op answers must agree.
 #include <cstdio>
@@ -83,7 +83,7 @@ int main() {
   std::printf("mixed program: %zu operations across %u regions, batch=%zu\n",
               total, kRegions, kBatch);
 
-  // Sequential reference: any atomic-batch variant from the registry.
+  // Sequential reference: any atomic-batch variant from the table.
   const char* seq_name = nullptr;
   for (const VariantInfo& v : all_variants()) {
     if (v.caps.atomic_batch && !v.caps.combining) {
@@ -104,20 +104,13 @@ int main() {
 
   // Parallel: one worker per region, all submitting batches to one
   // concurrent structure through apply_batch. Picked by capability, not by
-  // name: the first native-batch variant with lock-free reads, otherwise
-  // any native-batch one.
-  const char* conc_name = nullptr;
-  for (int pass = 0; pass < 2 && conc_name == nullptr; ++pass) {
-    for (const VariantInfo& v : all_variants()) {
-      if (!v.caps.native_batch) continue;
-      if (pass == 0 && !v.caps.lock_free_reads) continue;
+  // name: the first variant with lock-free reads, otherwise the first one.
+  const char* conc_name = all_variants().front().name;
+  for (const VariantInfo& v : all_variants()) {
+    if (v.caps.lock_free_reads) {
       conc_name = v.name;
       break;
     }
-  }
-  if (conc_name == nullptr) {
-    std::fprintf(stderr, "no native-batch variant registered\n");
-    return 1;
   }
   auto conc = make_variant(conc_name, n);
   std::vector<std::vector<BatchResult>> got(kRegions);

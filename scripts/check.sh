@@ -35,11 +35,15 @@ from_v2="$(mktemp /tmp/check-from-v2.XXXXXX.dctr)"
 from_v3="$(mktemp /tmp/check-from-v3.XXXXXX.dctr)"
 trace="$(mktemp /tmp/check-trace.XXXXXX.bin)"
 json="$(mktemp /tmp/check-bench.XXXXXX.json)"
-trap 'rm -f "$sample_trace" "$from_v1" "$from_v2" "$from_v3" "$trace" "$json"' EXIT
+convert_out="$(mktemp /tmp/check-convert.XXXXXX.out)"
+trap 'rm -f "$sample_trace" "$from_v1" "$from_v2" "$from_v3" "$trace" "$json" "$convert_out"' EXIT
+# Echo the converter's report through the already-open stderr (not
+# `tee /dev/stderr`, which reopens a redirected log and truncates it).
 ./build/trace_convert convert data/sample_temporal.txt "$sample_trace" \
-  --dedup --window 150 --queries 5 | tee /dev/stderr |
-  awk '/bytes\/op/ { seen = 1; if ($2 + 0 > 3.0) { print "bytes/op " $2 " > 3"; exit 1 } }
-       END { if (!seen) { print "no bytes/op line in trace_convert output"; exit 1 } }'
+  --dedup --window 150 --queries 5 > "$convert_out"
+cat "$convert_out" >&2
+awk '/bytes\/op/ { seen = 1; if ($2 + 0 > 3.0) { print "bytes/op " $2 " > 3"; exit 1 } }
+       END { if (!seen) { print "no bytes/op line in trace_convert output"; exit 1 } }' "$convert_out"
 ./build/trace_convert recompress tests/data/golden_v1.dctr "$from_v1" > /dev/null
 ./build/trace_convert recompress tests/data/golden_v2.dctr "$from_v2" > /dev/null
 cmp "$from_v1" "$from_v2"
@@ -51,7 +55,7 @@ cmp "$from_v1" "$from_v3"
 # --reads synthesis with size queries must emit a valid v3 trace.
 sample_reads="$(mktemp /tmp/check-sample-reads.XXXXXX.dctr)"
 snap_trace="$(mktemp /tmp/check-snap.XXXXXX.dctr)"
-trap 'rm -f "$sample_trace" "$from_v1" "$from_v2" "$from_v3" "$sample_reads" "$snap_trace" "$trace" "$json"' EXIT
+trap 'rm -f "$sample_trace" "$from_v1" "$from_v2" "$from_v3" "$sample_reads" "$snap_trace" "$trace" "$json" "$convert_out"' EXIT
 ./build/trace_convert recompress "$sample_trace" "$sample_reads" \
   --reads 80 --size-queries | grep -q "version:      3"
 ./build/trace_convert info "$sample_reads" > /dev/null

@@ -11,40 +11,15 @@ BatchResult DynamicConnectivity::apply_batch(std::span<const Op> ops) {
   return r;
 }
 
-uint64_t DynamicConnectivity::component_size(Vertex u) {
-  // Scratch scan over the vertex universe: count the members of u's
-  // component one connectivity query at a time. Each query is individually
-  // linearizable, but the aggregate is only consistent when no update races
-  // the scan — the documented base-fallback contract. Variants override
-  // with a snapshot-consistent native path.
-  uint64_t count = 0;
-  const Vertex n = num_vertices();
-  for (Vertex i = 0; i < n; ++i) {
-    if (connected(u, i)) ++count;
-  }
-  return count;
-}
-
 ComponentsSnapshot DynamicConnectivity::components() {
   // One representative() per vertex, through the virtual so every variant's
   // native (lock-free or locked) read path is used. Each entry is
-  // individually linearizable; the aggregate is consistent at quiescence —
-  // the same contract as the base component_size scan above.
+  // individually linearizable; the aggregate is consistent at quiescence.
   ComponentsSnapshot s;
   const Vertex n = num_vertices();
   s.labels.resize(n);
   for (Vertex v = 0; v < n; ++v) s.labels[v] = representative(v);
   return s;
-}
-
-Vertex DynamicConnectivity::representative(Vertex u) {
-  // First (smallest) vertex connected to u; connected(u, u) is always true,
-  // so the scan terminates by u at the latest.
-  const Vertex n = num_vertices();
-  for (Vertex i = 0; i < n; ++i) {
-    if (connected(u, i)) return i;
-  }
-  return u;
 }
 
 }  // namespace condyn

@@ -116,7 +116,7 @@ struct ComponentsSnapshot {
   std::vector<Vertex> labels;
   /// True when every entry comes from one atomically published epoch (the
   /// label-cache path); false for the base per-vertex scan, which is only
-  /// consistent at quiescence (like the other base query fallbacks).
+  /// consistent at quiescence.
   bool consistent = false;
 
   bool same_component(Vertex u, Vertex v) const noexcept {
@@ -154,24 +154,20 @@ class DynamicConnectivity {
   virtual bool connected(Vertex u, Vertex v) = 0;
 
   /// Number of vertices in u's component (>= 1: u is always a member).
-  /// The base fallback answers by scanning connected(u, i) over the whole
-  /// vertex universe — a consistent read only at quiescence, O(n) queries.
-  /// Every built-in variant overrides it with its native O(find_root) path
-  /// over the ETT's vertex-count augmentation, under the same
-  /// synchronization regime as its connected() (VariantCaps::
-  /// sized_components); overrides are exact at quiescence and between
-  /// updates of u's component.
-  virtual uint64_t component_size(Vertex u);
+  /// Every variant answers it natively in O(find_root) from the ETT's
+  /// vertex-count augmentation, under the same synchronization regime as
+  /// its connected(); the value is exact at quiescence and between updates
+  /// of u's component.
+  virtual uint64_t component_size(Vertex u) = 0;
 
   /// Canonical representative of u's component: the smallest vertex id the
   /// component contains. representative(u) == representative(v) iff
   /// connected(u, v), and the value is stable as long as the component's
   /// membership does not change — the property that makes it usable as a
   /// sharding key. Being a pure function of the member set, it is also
-  /// identical across variants (trace replays stay comparable). Base
-  /// fallback: first i with connected(u, i); overridden natively via the
-  /// ETT's min-vertex augmentation (VariantCaps::stable_representative).
-  virtual Vertex representative(Vertex u);
+  /// identical across variants (trace replays stay comparable). Every
+  /// variant answers it natively from the ETT's min-vertex augmentation.
+  virtual Vertex representative(Vertex u) = 0;
 
   /// Every component at once: a full label array (see ComponentsSnapshot).
   /// The base fallback calls representative(v) per vertex — n independent

@@ -73,7 +73,6 @@ class NbHdt {
 
   Vertex num_vertices() const noexcept { return n_; }
   int max_level() const noexcept { return lmax_; }
-  NbLockMode lock_mode() const noexcept { return mode_; }
 
   /// Lock-free linearizable connectivity query.
   bool connected(Vertex u, Vertex v) { return forest0_->connected(u, v); }

@@ -92,12 +92,6 @@ void save_snap(const Graph& g, std::ostream& out) {
   for (const Edge& e : g.edges()) out << e.u << '\t' << e.v << '\n';
 }
 
-void save_snap_file(const Graph& g, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) fail("cannot write " + path);
-  save_snap(g, f);
-}
-
 Graph load_auto(const std::string& path) {
   if (path.size() >= 3 && path.substr(path.size() - 3) == ".gr")
     return load_dimacs_file(path);

@@ -26,7 +26,6 @@ Graph load_dimacs(std::istream& in);
 Graph load_dimacs_file(const std::string& path);
 
 void save_snap(const Graph& g, std::ostream& out);
-void save_snap_file(const Graph& g, const std::string& path);
 
 /// Load by extension: ".gr" => DIMACS, anything else => SNAP edge list.
 Graph load_auto(const std::string& path);

@@ -54,6 +54,8 @@ struct ThreadTotals {
   uint64_t batches = 0;
   uint64_t batch_ns_total = 0;
   uint64_t batch_ns_max = 0;
+  // run_finite only: this worker's first op and last completion.
+  Clock::time_point first_op, last_done;
   // caps.tracks_latency only: one sample per measured op. u32 nanoseconds
   // caps a sample at ~4.3 s — far beyond any single connectivity op — and
   // halves the footprint of paper-sized traces.
@@ -215,8 +217,10 @@ RunResult run_timed(const ScenarioInfo& s, DynamicConnectivity& dc,
 }
 
 /// Finite driver: each worker drains its stream to exhaustion; the measured
-/// window is first-op to last-completion (no warmup). Stream construction
-/// happens before the start barrier and is excluded from timing.
+/// window runs from the earliest worker's first op to the latest worker's
+/// last completion (no warmup), each stamped by the worker itself, so a
+/// main thread scheduled late cannot shrink it. Stream construction happens
+/// before the start barrier and is excluded from timing.
 RunResult run_finite(const ScenarioInfo& s, DynamicConnectivity& dc,
                      const Graph& g, const RunConfig& cfg) {
   SpinBarrier start(cfg.threads + 1);
@@ -230,15 +234,23 @@ RunResult run_finite(const ScenarioInfo& s, DynamicConnectivity& dc,
       start.arrive_and_wait();
       reset_counters();
       ThreadTotals& mine = totals[t];
+      mine.first_op = Clock::now();
       while (measured_step(s.caps, dc, *stream, buf, cfg.batch_size, mine)) {
       }
+      mine.last_done = Clock::now();
       collect_counters(mine);
     });
   }
   start.arrive_and_wait();
-  const auto t0 = Clock::now();
   for (auto& w : workers) w.join();
-  const double elapsed = ms_since(t0);
+  Clock::time_point first = totals.front().first_op;
+  Clock::time_point last = totals.front().last_done;
+  for (const ThreadTotals& t : totals) {
+    first = std::min(first, t.first_op);
+    last = std::max(last, t.last_done);
+  }
+  const double elapsed =
+      std::chrono::duration<double, std::milli>(last - first).count();
   return combine(totals, elapsed, cfg.threads);
 }
 

@@ -26,15 +26,6 @@ Backpressure parse_policy(const std::string& s) noexcept {
   return Backpressure::kBlock;
 }
 
-const char* policy_name(Backpressure p) noexcept {
-  switch (p) {
-    case Backpressure::kDrop: return "drop";
-    case Backpressure::kShedReads: return "shed-reads";
-    case Backpressure::kBlock: break;
-  }
-  return "block";
-}
-
 IngestOptions env_options() {
   IngestOptions o;
   const auto u64 = [](const char* name, uint64_t fallback) {

@@ -28,7 +28,6 @@ enum class Backpressure { kBlock, kDrop, kShedReads };
 
 /// Parse "block" / "drop" / "shed-reads" (unknown strings = kBlock).
 Backpressure parse_policy(const std::string& s) noexcept;
-const char* policy_name(Backpressure p) noexcept;
 
 struct IngestOptions {
   std::size_t ring_capacity = 4096;  ///< rounded up to a power of two

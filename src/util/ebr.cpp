@@ -97,7 +97,6 @@ void Domain::retire(void* p, void (*del)(void*)) {
     b.epoch_tag = e;
   }
   b.items.push_back({p, del});
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
   if (b.items.size() >= kAdvanceThreshold) {
     if (try_advance()) flush_eligible(st);
   }
@@ -139,7 +138,6 @@ void Domain::flush_eligible(LocalState& st) {
 
 void Domain::free_bucket(Bucket& b) {
   for (const Retired& r : b.items) r.del(r.p);
-  outstanding_.fetch_sub(b.items.size(), std::memory_order_relaxed);
   b.items.clear();
 }
 

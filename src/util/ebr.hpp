@@ -66,9 +66,6 @@ class Domain {
   uint64_t epoch() const noexcept {
     return global_epoch_.load(std::memory_order_relaxed);
   }
-  uint64_t outstanding() const noexcept {
-    return outstanding_.load(std::memory_order_relaxed);
-  }
 
  private:
   static constexpr uint64_t kIdle = ~uint64_t{0};
@@ -100,7 +97,6 @@ class Domain {
 
   Slot slots_[kMaxThreads];
   std::atomic<uint64_t> global_epoch_{2};  // start >1 so tag 0 is "ancient"
-  std::atomic<uint64_t> outstanding_{0};
 
   std::mutex orphan_mu_;
   std::vector<Bucket> orphans_;

@@ -77,7 +77,6 @@ void ElisionLock::unlock() noexcept {
 #if CONDYN_HAVE_RTM
   if (t_in_txn_) {
     t_in_txn_ = false;
-    elided_.fetch_add(1, std::memory_order_relaxed);
     _xend();
     return;
   }

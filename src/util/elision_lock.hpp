@@ -39,12 +39,6 @@ class ElisionLock {
   void lock_shared() noexcept { lock(); }
   void unlock_shared() noexcept { unlock(); }
 
-  /// Number of critical sections that committed transactionally (process-wide
-  /// would need aggregation; this is per-lock, relaxed).
-  uint64_t elided_commits() const noexcept {
-    return elided_.load(std::memory_order_relaxed);
-  }
-
  private:
   bool lock_is_free() const noexcept {
     return !locked_.load(std::memory_order_relaxed);
@@ -52,7 +46,6 @@ class ElisionLock {
   void acquire_real() noexcept;
 
   std::atomic<bool> locked_{false};
-  std::atomic<uint64_t> elided_{0};
   // Set while the *calling thread* holds this lock transactionally.
   static thread_local bool t_in_txn_;
 };

@@ -15,6 +15,4 @@ Xoshiro256& thread_rng() noexcept {
   return rng;
 }
 
-void reseed_thread_rng(uint64_t seed) noexcept { thread_rng() = Xoshiro256(seed); }
-
 }  // namespace condyn

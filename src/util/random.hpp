@@ -86,7 +86,4 @@ class Xoshiro256 {
 /// would pollute the API.
 Xoshiro256& thread_rng() noexcept;
 
-/// Reseed the calling thread's thread_rng (tests use this for determinism).
-void reseed_thread_rng(uint64_t seed) noexcept;
-
 }  // namespace condyn

@@ -106,14 +106,6 @@ class MpscRingBuffer {
     return n;
   }
 
-  /// Snapshot of the fill level — producers racing make this approximate;
-  /// use it for stats and shed heuristics, never for correctness.
-  std::size_t size_approx() const noexcept {
-    const std::size_t enq = enqueue_pos_.load(std::memory_order_relaxed);
-    const std::size_t deq = dequeue_pos_.load(std::memory_order_relaxed);
-    return enq >= deq ? enq - deq : 0;
-  }
-
  private:
   struct Cell {
     std::atomic<std::size_t> seq;

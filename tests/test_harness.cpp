@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "api/factory.hpp"
 #include "graph/cc.hpp"
@@ -194,6 +198,71 @@ TEST(Driver, DecrementalEmptiesTheStructure) {
       harness::run_scenario(builtin("decremental"), *dc, g, cfg);
   EXPECT_EQ(r.total_ops, g.num_edges());
   for (Vertex v = 1; v < 120; v += 7) EXPECT_FALSE(dc->connected(0, v));
+}
+
+/// Busy for 2 ms in every add_edge and records, per calling thread, when its
+/// first call started and its last call returned. It spins rather than
+/// sleeps: a busy worker keeps its CPU, so on a loaded or single CPU the
+/// main thread can be scheduled only after the workers are done.
+class SleepyDc final : public DynamicConnectivity {
+ public:
+  using Clock = std::chrono::steady_clock;
+  struct Span {
+    Clock::time_point first = Clock::time_point::max();
+    Clock::time_point last = Clock::time_point::min();
+  };
+
+  explicit SleepyDc(Vertex n) : n_(n) {}
+
+  bool add_edge(Vertex, Vertex) override {
+    const Clock::time_point t0 = Clock::now();
+    Clock::time_point t1 = t0;
+    while (t1 - t0 < std::chrono::milliseconds(2)) t1 = Clock::now();
+    std::lock_guard<std::mutex> lk(mu_);
+    Span& s = spans_[std::this_thread::get_id()];
+    s.first = std::min(s.first, t0);
+    s.last = std::max(s.last, t1);
+    return true;
+  }
+  bool remove_edge(Vertex, Vertex) override { return false; }
+  bool connected(Vertex u, Vertex v) override { return u == v; }
+  uint64_t component_size(Vertex) override { return 1; }
+  Vertex representative(Vertex u) override { return u; }
+  Vertex num_vertices() const override { return n_; }
+  std::string name() const override { return "sleepy"; }
+
+  const std::map<std::thread::id, Span>& spans() const { return spans_; }
+
+ private:
+  Vertex n_;
+  std::mutex mu_;
+  std::map<std::thread::id, Span> spans_;
+};
+
+TEST(Driver, FiniteWindowCoversEveryWorkersSpan) {
+  // The window is stamped by the workers themselves: it must contain every
+  // worker's span of calls, and their union, however late the main thread
+  // is scheduled.
+  Graph g = gen::erdos_renyi(40, 24, 9);
+  SleepyDc dc(g.num_vertices());
+  harness::RunConfig cfg;
+  cfg.threads = 3;
+  const harness::RunResult r =
+      harness::run_scenario(builtin("incremental"), dc, g, cfg);
+  EXPECT_EQ(r.total_ops, g.num_edges());
+  ASSERT_EQ(dc.spans().size(), cfg.threads);
+  auto ms = [](SleepyDc::Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  SleepyDc::Span all;
+  for (const auto& [id, s] : dc.spans()) {
+    EXPECT_GE(r.elapsed_ms, ms(s.last - s.first));
+    all.first = std::min(all.first, s.first);
+    all.last = std::max(all.last, s.last);
+  }
+  EXPECT_GE(r.elapsed_ms, ms(all.last - all.first));
+  // Each worker spent 2 ms per op over its stripe of the edges.
+  EXPECT_GE(r.elapsed_ms, 2.0 * (g.num_edges() / cfg.threads));
 }
 
 TEST(Driver, EnvConfigDefaultsAreSane) {

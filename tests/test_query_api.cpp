@@ -1,10 +1,9 @@
-// Query API v2 coverage: component_size / representative on every
-// registered variant against the extended DSU oracle
-// (tests/query_oracle.hpp, graph/dsu.hpp min-id tracking) — sequentially,
-// under 4-thread concurrent churn (disjoint regions: values stay exact;
-// quiet component beside churn: values stay exact AND stable), through the
-// base-class fallback, and with the NB-family guarantee that the value read
-// path never touches a lock (lock_stats counters stay flat).
+// Query API v2 coverage: component_size / representative on every variant
+// against the extended DSU oracle (tests/query_oracle.hpp, graph/dsu.hpp
+// min-id tracking) — sequentially, under 4-thread concurrent churn
+// (disjoint regions: values stay exact; quiet component beside churn:
+// values stay exact AND stable), and with the NB-family guarantee that the
+// value read path never touches a lock (lock_stats counters stay flat).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -196,47 +195,6 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, QueryVariants,
                              if (c == '-') c = '_';
                            return n;
                          });
-
-/// Forwards the pure virtuals to a real variant but deliberately does NOT
-/// override the value queries: exercises the base-class fallback scan.
-class FallbackDc final : public DynamicConnectivity {
- public:
-  explicit FallbackDc(Vertex n) : inner_(make_variant("coarse", n)) {}
-
-  bool add_edge(Vertex u, Vertex v) override {
-    return inner_->add_edge(u, v);
-  }
-  bool remove_edge(Vertex u, Vertex v) override {
-    return inner_->remove_edge(u, v);
-  }
-  bool connected(Vertex u, Vertex v) override {
-    return inner_->connected(u, v);
-  }
-  Vertex num_vertices() const override { return inner_->num_vertices(); }
-  std::string name() const override { return "fallback"; }
-
- private:
-  std::unique_ptr<DynamicConnectivity> inner_;
-};
-
-TEST(QueryFallback, BaseClassScanMatchesTheOracle) {
-  const Vertex n = 24;
-  FallbackDc dc(n);
-  QueryOracle oracle(n);
-  for (const Op& op : churn_program(n, 400, 31)) {
-    ASSERT_EQ(exec_single(dc, op), oracle.apply(op))
-        << "kind " << static_cast<int>(op.kind);
-  }
-  // The fallback apply_batch routes value kinds through the scan too.
-  const std::vector<Op> batch = {Op::add(1, 2), Op::component_size(2),
-                                 Op::representative(2)};
-  QueryOracle fresh(n);
-  FallbackDc dc2(n);
-  const BatchResult r = dc2.apply_batch(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(r.value(i), fresh.apply(batch[i])) << i;
-  }
-}
 
 TEST(QueryLockFree, ValueReadsNeverAcquireLocksOnNbFamilies) {
   // The acceptance bar: on variants with lock-free reads whose value
