@@ -47,8 +47,6 @@ class FlatCombiningDc final : public DynamicConnectivity {
   Vertex num_vertices() const override { return hdt_.num_vertices(); }
   std::string name() const override { return name_; }
 
-  Hdt& engine() noexcept { return hdt_; }
-
  private:
   bool submit(combining::OpType type, Vertex u, Vertex v);
   void submit_and_wait(combining::Slot& s);

@@ -132,8 +132,6 @@ class CoarseDc final : public DynamicConnectivity {
   Vertex num_vertices() const override { return hdt_.num_vertices(); }
   std::string name() const override { return name_; }
 
-  Hdt& engine() noexcept { return hdt_; }
-
  private:
   Hdt hdt_;
   Lock mu_;

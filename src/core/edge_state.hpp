@@ -68,13 +68,6 @@ class EdgeState {
   uint64_t word_ = 0;  // status kRemoved, level 0, stamp 0
 };
 
-#ifdef CONDYN_TRACE_EDGE_STATES
-struct EdgeTrace {
-  uint32_t site;
-  uint64_t from, to;
-};
-#endif
-
 /// The per-edge record: one atomic word. Records are created on first touch
 /// and never destroyed until the owning map dies, so any thread may hold the
 /// pointer and CAS freely (Listing 5's `states` ConcurrentHashMap).
@@ -90,38 +83,16 @@ struct EdgeStateCell {
     return EdgeState(word.load(std::memory_order_seq_cst));
   }
   /// CAS expected → desired; on failure `expected` is refreshed.
-  bool cas(EdgeState& expected, EdgeState desired,
-           uint32_t site = 0) noexcept {
+  bool cas(EdgeState& expected, EdgeState desired) noexcept {
     uint64_t w = expected.word();
     const bool ok = word.compare_exchange_strong(w, desired.word(),
                                                  std::memory_order_seq_cst);
     if (!ok) expected = EdgeState(w);
-#ifdef CONDYN_TRACE_EDGE_STATES
-    if (ok) trace(site, w, desired.word());
-#else
-    (void)site;
-#endif
     return ok;
   }
-  void store(EdgeState s, uint32_t site = 0) noexcept {
-#ifdef CONDYN_TRACE_EDGE_STATES
-    trace(site, word.load(std::memory_order_relaxed), s.word());
-#else
-    (void)site;
-#endif
+  void store(EdgeState s) noexcept {
     word.store(s.word(), std::memory_order_seq_cst);
   }
-
-#ifdef CONDYN_TRACE_EDGE_STATES
-  static constexpr unsigned kTraceLen = 96;
-  std::atomic<uint32_t> trace_pos{0};
-  EdgeTrace traces[kTraceLen] = {};
-  void trace(uint32_t site, uint64_t from, uint64_t to) noexcept {
-    const uint32_t i = trace_pos.fetch_add(1, std::memory_order_relaxed);
-    traces[i % kTraceLen] = EdgeTrace{site, from, to};
-  }
-  void dump_trace() const noexcept;
-#endif
 };
 
 /// Sharded edge → state table of the full algorithm.

@@ -147,8 +147,6 @@ class FineDc final : public DynamicConnectivity {
   Vertex num_vertices() const override { return hdt_.num_vertices(); }
   std::string name() const override { return name_; }
 
-  Hdt& engine() noexcept { return hdt_; }
-
  private:
   /// The certified root's packed (vcount, vmin) word, read under this
   /// mode's lock discipline (shared for (7), exclusive for (6)). The guard

@@ -10,47 +10,11 @@ namespace condyn {
 using ett::Forest;
 using ett::Node;
 
-namespace {
-
-int levels_for(Vertex n) noexcept {
-  int l = 0;
-  while ((Vertex{1} << (l + 1)) <= n) ++l;  // ⌊log2 n⌋
-  return l;
-}
-
-}  // namespace
-
 Hdt::Hdt(Vertex n, bool sampling)
-    : n_(n),
-      lmax_(levels_for(std::max<Vertex>(n, 2))),
+    : HdtLevels(n),
       sampling_(sampling),
-      forests_(std::make_unique<std::atomic<Forest*>[]>(lmax_ + 2)),
       edges_(2 * static_cast<std::size_t>(n)),  // steady-state |E| guess
-      adj_(std::make_unique<ShardedU64Map<AdjSet>[]>(lmax_ + 2)) {
-  for (int i = 0; i <= lmax_ + 1; ++i)
-    forests_[i].store(nullptr, std::memory_order_relaxed);
-  forest0_ = new Forest(n_, 0);
-  forests_[0].store(forest0_, std::memory_order_release);
-}
-
-Hdt::~Hdt() {
-  for (int i = 0; i <= lmax_ + 1; ++i)
-    delete forests_[i].load(std::memory_order_relaxed);
-}
-
-Forest& Hdt::forest(int i) {
-  assert(i <= lmax_ + 1);
-  Forest* f = forests_[i].load(std::memory_order_acquire);
-  if (f != nullptr) return *f;
-  auto* fresh = new Forest(n_, i);
-  Forest* expected = nullptr;
-  if (forests_[i].compare_exchange_strong(expected, fresh,
-                                          std::memory_order_acq_rel)) {
-    return *fresh;
-  }
-  delete fresh;  // lost the creation race (fine-grained writers)
-  return *expected;
-}
+      adj_(std::make_unique<ShardedU64Map<AdjSet>[]>(lmax_ + 2)) {}
 
 void Hdt::adj_insert(int level, Vertex a, Vertex b) {
   adj_[level].get_or_create(a)->s.insert(b);
@@ -137,10 +101,7 @@ Hdt::UpdateOutcome Hdt::remove_edge(Vertex u, Vertex v) {
     Node* ru = (i == 0) ? h.root_u : Forest::find_piece_root(fi.vertex_node(u));
     Node* rv = (i == 0) ? h.root_v : Forest::find_piece_root(fi.vertex_node(v));
     assert(ru != rv);
-    Node* tv = Forest::subtree_vertices(ru) <= Forest::subtree_vertices(rv)
-                   ? ru
-                   : rv;
-    Node* other = (tv == ru) ? rv : ru;
+    const auto [tv, other] = smaller_piece(ru, rv);
     // Lazy promotion (DESIGN.md §4.2): with no level-i non-tree edge in the
     // smaller piece there is nothing to sample or scan, and no non-tree edge
     // will be promoted that would need tv's tree edges in F_{i+1}.
@@ -153,7 +114,14 @@ Hdt::UpdateOutcome Hdt::remove_edge(Vertex u, Vertex v) {
       ++st.sampling_hits;
       break;
     }
-    if (i + 1 <= lmax_) promote_level_arcs(i, tv);
+    if (i + 1 <= lmax_) {
+      promote_level_arcs(i, tv, [&](const Edge& e) {
+        EdgeInfo* lifted = edges_.find(e);
+        assert(lifted != nullptr && lifted->present && lifted->spanning &&
+               lifted->level == i);
+        lifted->level = static_cast<uint8_t>(i + 1);
+      });
+    }
     if (search_replacement(i, tv, other, &repl)) {
       found = true;
       found_level = i;
@@ -194,47 +162,18 @@ void Hdt::apply_batch(std::span<const Op> ops, BatchResult& out) {
       });
 }
 
-void Hdt::collect_level_arcs(const Node* x, std::vector<Edge>& out) const {
-  if (x == nullptr || !x->sub_level_arc) return;
-  if (x->arc_at_level && x->tail < x->head)  // each arc pair reported once
-    out.emplace_back(x->tail, x->head);
-  collect_level_arcs(x->left, out);
-  collect_level_arcs(x->right, out);
-}
-
-void Hdt::promote_level_arcs(int i, Node* tv_root) {
-  assert(i + 1 <= lmax_);
-  std::vector<Edge> to_promote;
-  collect_level_arcs(tv_root, to_promote);
+bool Hdt::search_replacement(int i, Node* tv_root, Node* other_root,
+                             Edge* out) {
   Forest& fi = forest(i);
-  Forest& fn = forest(i + 1);
-  for (const Edge& e : to_promote) {
-    fi.set_arc_at_level(e.u, e.v, false);
-    fn.link(e.u, e.v);
-    fn.set_arc_at_level(e.u, e.v, true);
-    EdgeInfo* info = edges_.find(e);
-    assert(info != nullptr && info->present && info->spanning &&
-           info->level == i);
-    info->level = static_cast<uint8_t>(i + 1);
-  }
-}
-
-bool Hdt::search_replacement(int i, Node* x, Node* other_root, Edge* out) {
-  if (x == nullptr || !x->sub_nonspanning.load(std::memory_order_seq_cst))
-    return false;
-  bool found = false;
-  if (x->is_vertex() &&
-      x->local_nonspanning.load(std::memory_order_seq_cst) > 0) {
-    const Vertex a = x->tail;
+  return walk_flagged(tv_root, /*recalc=*/true, [&](Node* vx) {
+    const Vertex a = vx->tail;
     AdjSet* rec = adj_[i].find(a);
-    Forest& fi = forest(i);
     while (rec != nullptr && !rec->s.empty()) {
       const Vertex w = rec->s.front();
       if (Forest::find_piece_root(fi.vertex_node(w)) == other_root) {
         *out = Edge(a, w);
         adj_erase(i, a, w);  // it becomes spanning; caller links it
-        found = true;
-        break;
+        return true;
       }
       // Not a replacement: promote to level i+1 to amortize this visit.
       assert(i + 1 <= lmax_);
@@ -244,77 +183,47 @@ bool Hdt::search_replacement(int i, Node* x, Node* other_root, Edge* out) {
       assert(info != nullptr && info->present && !info->spanning);
       info->level = static_cast<uint8_t>(i + 1);
     }
-  }
-  if (!found) found = search_replacement(i, x->left, other_root, out);
-  if (!found) found = search_replacement(i, x->right, other_root, out);
-  Forest::recalculate_flags(x);
-  return found;
-}
-
-bool Hdt::sample_scan(int i, Node* x, Node* other_root, Edge* out,
-                      int& budget) {
-  if (x == nullptr || budget <= 0 ||
-      !x->sub_nonspanning.load(std::memory_order_seq_cst))
     return false;
-  if (x->is_vertex() &&
-      x->local_nonspanning.load(std::memory_order_seq_cst) > 0) {
-    AdjSet* rec = adj_[i].find(x->tail);
-    if (rec != nullptr) {
-      Forest& fi = forest(i);
-      for (Vertex w : rec->s) {
-        if (budget-- <= 0) return false;
-        if (Forest::find_piece_root(fi.vertex_node(w)) == other_root) {
-          *out = Edge(x->tail, w);
-          adj_erase(i, x->tail, w);
-          return true;
-        }
-      }
-    }
-  }
-  if (sample_scan(i, x->left, other_root, out, budget)) return true;
-  return sample_scan(i, x->right, other_root, out, budget);
+  });
 }
 
 bool Hdt::sample_replacement(int i, Node* tv_root, Node* other_root,
                              Edge* out) {
+  Forest& fi = forest(i);
   int budget = kSampleBudget;
-  return sample_scan(i, tv_root, other_root, out, budget);
+  bool found = false;
+  walk_flagged(tv_root, /*recalc=*/false, [&](Node* vx) {
+    const Vertex a = vx->tail;
+    AdjSet* rec = adj_[i].find(a);
+    if (rec == nullptr) return false;
+    for (Vertex w : rec->s) {
+      if (budget-- <= 0) return true;
+      if (Forest::find_piece_root(fi.vertex_node(w)) == other_root) {
+        *out = Edge(a, w);
+        adj_erase(i, a, w);
+        found = true;
+        return true;
+      }
+    }
+    return false;
+  });
+  return found;
 }
 
 void Hdt::check_invariants() {
-  // F_0 ⊇ F_i: every spanning edge of level l must be present in F_0..F_l,
-  // absent above; non-spanning edges must be in the adjacency sets of their
-  // level; component sizes in G_i bounded by n / 2^i.
   edges_.for_each([&](const Edge& e, EdgeInfo& info) {
     if (!info.present) return;
     if (info.spanning) {
-      for (int i = 0; i <= info.level; ++i) {
-        [[maybe_unused]] Forest* f = forest_if(i);
-        assert(f != nullptr && f->has_edge(e.u, e.v));
-      }
-      for (int i = info.level + 1; i <= lmax_; ++i) {
-        [[maybe_unused]] Forest* f = forest_if(i);
-        assert(f == nullptr || !f->has_edge(e.u, e.v));
-      }
+      check_spanning_nesting(e, info.level);
     } else {
-      [[maybe_unused]] AdjSet* au = adj_[info.level].find(e.u);
-      [[maybe_unused]] AdjSet* av = adj_[info.level].find(e.v);
-      assert(au != nullptr && au->s.contains(e.v));
-      assert(av != nullptr && av->s.contains(e.u));
+      const AdjSet* au = adj_[info.level].find(e.u);
+      const AdjSet* av = adj_[info.level].find(e.v);
+      require(au != nullptr && au->s.contains(e.v) && av != nullptr &&
+                  av->s.contains(e.u),
+              "non-spanning edge missing from its level's adjacency sets", e);
     }
-    // Size invariant: the component of e in G_level has ≤ n/2^level vertices.
-    Forest* f = forest_if(info.level);
-    if (f != nullptr) {
-      Node* nu = f->vertex_node_if_exists(e.u);
-      if (nu != nullptr) {
-        const uint32_t sz =
-            Forest::subtree_vertices(Forest::find_piece_root(nu));
-        assert(static_cast<uint64_t>(sz) << info.level <= n_);
-        (void)sz;
-      }
-    }
+    check_size_bound(e, info.level);
   });
-  (void)this;
 }
 
 }  // namespace condyn

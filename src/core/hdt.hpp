@@ -1,12 +1,11 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "api/dynamic_connectivity.hpp"
 #include "core/ett.hpp"
+#include "core/hdt_levels.hpp"
 #include "core/sharded_map.hpp"
 #include "graph/graph.hpp"
 #include "util/small_flat_set.hpp"
@@ -14,10 +13,9 @@
 namespace condyn {
 
 /// Holm–de Lichtenberg–Thorup dynamic connectivity over single-writer
-/// Euler Tour Trees (paper §4.1–§4.2).
+/// Euler Tour Trees (paper §4.1–§4.2), on the shared level skeleton
+/// (HdtLevels).
 ///
-/// Levels 0..⌊log2 n⌋; forest F_i spans the subgraph G_i of edges with level
-/// ≥ i; F_0 is the published spanning forest that connectivity queries read.
 /// A spanning edge of level l has arc pairs in F_0..F_l; a non-spanning edge
 /// of level l is recorded in the per-level adjacency sets of its endpoints.
 /// Replacement searches promote edges of the smaller side to amortize their
@@ -35,7 +33,7 @@ namespace condyn {
 ///  * A spanning-edge removal keeps the F_0 split *pending* (ett two-phase
 ///    cut) for the whole replacement search, so readers observe the removal
 ///    only at its linearization point — or never, if a replacement exists.
-class Hdt {
+class Hdt : public HdtLevels {
  public:
   struct UpdateOutcome {
     bool performed = false;  ///< the graph changed
@@ -43,29 +41,10 @@ class Hdt {
   };
 
   explicit Hdt(Vertex n, bool sampling = true);
-  virtual ~Hdt();
-  Hdt(const Hdt&) = delete;
-  Hdt& operator=(const Hdt&) = delete;
-
-  Vertex num_vertices() const noexcept { return n_; }
-  int max_level() const noexcept { return lmax_; }
-
-  /// Lock-free linearizable connectivity query (Listing 1 on F_0).
-  bool connected(Vertex u, Vertex v) { return forest0_->connected(u, v); }
 
   /// Writer-side query: caller holds lock(s) covering both components.
   bool connected_writer(Vertex u, Vertex v) {
     return forest0_->connected_writer(u, v);
-  }
-
-  /// Lock-free value queries over the published F_0 (Query API v2): the
-  /// root's vcount / vmin augmentation read under the same versioned
-  /// double-collect as connected().
-  uint64_t component_size(Vertex u) {
-    return forest0_->component_size_nonblocking(u);
-  }
-  Vertex representative(Vertex u) {
-    return forest0_->representative_nonblocking(u);
   }
 
   /// Writer-side value queries: caller holds lock(s) covering u's component.
@@ -117,14 +96,11 @@ class Hdt {
   bool is_spanning(Vertex u, Vertex v) const;
   int edge_level(Vertex u, Vertex v) const;  ///< -1 when absent
 
-  /// The published forest readers traverse; variant layers use it for root
-  /// discovery (fine-grained locking) and non-blocking reads.
-  ett::Forest& level0() noexcept { return *forest0_; }
-
-  /// Testing: F_0 ⊇ F_1 ⊇ ..., level bounds, component-size invariant.
+  /// Testing (quiescent only): F_0 ⊇ F_1 ⊇ ..., adjacency membership,
+  /// component-size bound. Throws std::logic_error on a broken invariant.
   void check_invariants();
 
- protected:
+ private:
   struct EdgeInfo {
     uint8_t level = 0;
     bool spanning = false;
@@ -138,22 +114,14 @@ class Hdt {
     SmallFlatSet<Vertex> s;
   };
 
-  ett::Forest& forest(int i);
-  ett::Forest* forest_if(int i) const noexcept {
-    return forests_[i].load(std::memory_order_acquire);
-  }
-
   void adj_insert(int level, Vertex a, Vertex b);
   void adj_erase(int level, Vertex a, Vertex b);
-
-  /// Promote every level-i spanning edge inside tv's subtree to level i+1.
-  void promote_level_arcs(int i, ett::Node* tv_root);
 
   /// Full scan (Listing-10 shape, locked engine): promote non-candidates,
   /// stop at the first edge crossing to other_root. Recalculates flags
   /// bottom-up. Returns true and fills *out when a replacement was found
   /// (already detached from the adjacency sets).
-  bool search_replacement(int i, ett::Node* x, ett::Node* other_root,
+  bool search_replacement(int i, ett::Node* tv_root, ett::Node* other_root,
                           Edge* out);
 
   /// Sampling fast path: test up to kSampleBudget candidate edges without
@@ -163,18 +131,9 @@ class Hdt {
 
   static constexpr int kSampleBudget = 16;
 
-  Vertex n_;
-  int lmax_;
   bool sampling_;
-  ett::Forest* forest0_;  // owned via forests_[0], cached for hot paths
-  std::unique_ptr<std::atomic<ett::Forest*>[]> forests_;
   ShardedEdgeMap<EdgeInfo> edges_;
   std::unique_ptr<ShardedU64Map<AdjSet>[]> adj_;
-
- private:
-  void collect_level_arcs(const ett::Node* x, std::vector<Edge>& out) const;
-  bool sample_scan(int i, ett::Node* x, ett::Node* other_root, Edge* out,
-                   int& budget);
 };
 
 }  // namespace condyn

@@ -1,7 +1,7 @@
 #include "core/nb_hdt.hpp"
 
 #include <cassert>
-#include <vector>
+#include <utility>
 
 #include "core/stats.hpp"
 #include "util/ebr.hpp"
@@ -23,12 +23,6 @@ NodePool<RemovalOp::Cell>& cell_pool() {
   return NodePool<RemovalOp::Cell>::instance();
 }
 
-int levels_for(Vertex n) noexcept {
-  int l = 0;
-  while ((Vertex{1} << (l + 1)) <= n) ++l;  // ⌊log2 n⌋
-  return l;
-}
-
 constexpr EdgeStatus kRemoved = EdgeStatus::kRemoved;
 constexpr EdgeStatus kInitial = EdgeStatus::kInitial;
 constexpr EdgeStatus kNonSpanning = EdgeStatus::kNonSpanning;
@@ -38,37 +32,11 @@ constexpr EdgeStatus kInProgress = EdgeStatus::kInProgress;
 }  // namespace
 
 NbHdt::NbHdt(Vertex n, NbLockMode mode, bool sampling)
-    : n_(n),
-      lmax_(levels_for(std::max<Vertex>(n, 2))),
+    : HdtLevels(n),
       mode_(mode),
       sampling_(sampling),
-      forests_(std::make_unique<std::atomic<Forest*>[]>(lmax_ + 2)),
       states_(2 * static_cast<std::size_t>(n)),  // steady-state |E| guess
-      adj_(std::make_unique<ShardedU64Map<VertexMultiset>[]>(lmax_ + 2)) {
-  for (int i = 0; i <= lmax_ + 1; ++i)
-    forests_[i].store(nullptr, std::memory_order_relaxed);
-  forest0_ = new Forest(n_, 0);
-  forests_[0].store(forest0_, std::memory_order_release);
-}
-
-NbHdt::~NbHdt() {
-  for (int i = 0; i <= lmax_ + 1; ++i)
-    delete forests_[i].load(std::memory_order_relaxed);
-}
-
-Forest& NbHdt::forest(int i) {
-  assert(i <= lmax_ + 1);
-  Forest* f = forests_[i].load(std::memory_order_acquire);
-  if (f != nullptr) return *f;
-  auto* fresh = new Forest(n_, i);
-  Forest* expected = nullptr;
-  if (forests_[i].compare_exchange_strong(expected, fresh,
-                                          std::memory_order_acq_rel)) {
-    return *fresh;
-  }
-  delete fresh;
-  return *expected;
-}
+      adj_(std::make_unique<ShardedU64Map<VertexMultiset>[]>(lmax_ + 2)) {}
 
 // ---------------------------------------------------------------------------
 // Edge information management (Appendix C "Edge Management"): a copy of a
@@ -205,7 +173,7 @@ NbHdt::ProposeResult NbHdt::propose_replacement(RemovalOp* op, const Edge& e,
     // A different edge occupies the slot — help finalize it (make it
     // spanning) so the occupancy is justified, or evict it if it is defunct.
     EdgeState occ = cur->state;
-    if (cur->rec->cas(occ, occ.with(kSpanning, 0), 17)) {
+    if (cur->rec->cas(occ, occ.with(kSpanning, 0))) {
       *winner = *cur;
       cell_pool().destroy(mine);
       return ProposeResult::kOtherWon;
@@ -248,7 +216,7 @@ RemovalOp::Cell* NbHdt::finalize_replacement_search(RemovalOp* op) {
       continue;
     }
     EdgeState occ = cur->state;
-    if (cur->rec->cas(occ, occ.with(kSpanning, 0), 18)) return cur;
+    if (cur->rec->cas(occ, occ.with(kSpanning, 0))) return cur;
     const EdgeState now = cur->rec->load();
     if (now.status() == kSpanning && now.stamp() == occ.stamp()) return cur;
     RemovalOp::Cell* expected = cur;
@@ -276,7 +244,7 @@ bool NbHdt::add_edge(Vertex u, Vertex v) {
   for (;;) {
     if (st.status() == kRemoved) {
       const EdgeState want(kInitial, 0, st.stamp() + 1);
-      if (rec->cas(st, want, 1)) {
+      if (rec->cas(st, want)) {
         init = want;
         creator = true;
         break;
@@ -337,7 +305,7 @@ bool NbHdt::try_add_non_spanning(const Edge& e, EdgeState init,
           // spanning. The writer performs the physical relink.
           remove_info(0, e);
           EdgeState expect = init;
-          rec->cas(expect, init.with(kSpanning, 0), 2);  // helper may have won
+          rec->cas(expect, init.with(kSpanning, 0));  // helper may have won
           ++stats.nonblocking_updates;
           return true;
         }
@@ -357,7 +325,7 @@ bool NbHdt::try_add_non_spanning(const Edge& e, EdgeState init,
   // Re-check and linearize as a plain non-spanning edge (Listing 9 21-26).
   if (forest0_->connected(e.u, e.v)) {
     EdgeState expect = init;
-    if (rec->cas(expect, init.with(kNonSpanning, 0), 3)) {
+    if (rec->cas(expect, init.with(kNonSpanning, 0))) {
       ++stats.nonspanning_additions;
       ++stats.nonblocking_updates;
       return true;
@@ -377,17 +345,14 @@ void NbHdt::blocking_add_edge(const Edge& e, EdgeState init,
       // Spanning insertion: IN_PROGRESS marks the window so that concurrent
       // additions of the same edge wait instead of observing a half-inserted
       // spanning edge (Appendix C "Edge Statuses").
-      if (!rec->cas(cur, init.with(kInProgress, 0), 4)) return;
+      if (!rec->cas(cur, init.with(kInProgress, 0))) return;
       forest0_->link(e.u, e.v);
       forest0_->set_arc_at_level(e.u, e.v, true);
-#ifdef CONDYN_TRACE_EDGE_STATES
-      rec->trace(22, 0, 0);  // arcs created (blocking spanning add)
-#endif
-      rec->store(init.with(kSpanning, 0), 5);
+      rec->store(init.with(kSpanning, 0));
     } else {
       add_info(0, e);
       EdgeState expect = init;
-      if (!rec->cas(expect, init.with(kNonSpanning, 0), 6)) {
+      if (!rec->cas(expect, init.with(kNonSpanning, 0))) {
         remove_info(0, e);
         return;
       }
@@ -435,7 +400,7 @@ bool NbHdt::remove_edge(Vertex u, Vertex v) {
 bool NbHdt::try_remove_non_spanning(const Edge& e, EdgeState st,
                                     EdgeStateCell* rec) {
   EdgeState expect = st;
-  if (!rec->cas(expect, st.with(kRemoved, 0), 7)) return false;
+  if (!rec->cas(expect, st.with(kRemoved, 0))) return false;
   remove_info(st.level(), e);  // physical deletion after the linearization
   return true;
 }
@@ -487,9 +452,6 @@ void NbHdt::remove_spanning_edge(const Edge& e, EdgeState st,
   // at its linearization point — or never, if a replacement exists.
   for (int i = le; i >= 1; --i) forest(i).cut(e.u, e.v);
   Forest::CutHandle h = forest0_->cut_prepare(e.u, e.v);
-#ifdef CONDYN_TRACE_EDGE_STATES
-  rec->trace(20, 0, 0);  // arcs removed from F0 (pending)
-#endif
 
   Edge repl;
   int found_level = -1;
@@ -498,11 +460,7 @@ void NbHdt::remove_spanning_edge(const Edge& e, EdgeState st,
   if (!found) {
     // Level-0 phase: publish the removal descriptor so concurrent
     // non-blocking additions can propose their edge as the replacement.
-    Node* tv = Forest::subtree_vertices(h.root_u) <=
-                       Forest::subtree_vertices(h.root_v)
-                   ? h.root_u
-                   : h.root_v;
-    Node* other = (tv == h.root_u) ? h.root_v : h.root_u;
+    const auto [tv, other] = smaller_piece(h.root_u, h.root_v);
     auto* op = op_pool().create();
     op->u = e.u;
     op->v = e.v;
@@ -527,9 +485,6 @@ void NbHdt::remove_spanning_edge(const Edge& e, EdgeState st,
       ++op_stats::local().replacements_found;
       forest0_->cut_relink(h, repl.u, repl.v);
       forest0_->set_arc_at_level(repl.u, repl.v, true);
-#ifdef CONDYN_TRACE_EDGE_STATES
-      winner->rec->trace(21, 0, 0);  // arcs created for winner
-#endif
       // Replace the winner with the closed sentinel before anything else:
       // a proposer still holding this descriptor could otherwise observe the
       // winner's later removal, clear the slot, and install its own edge
@@ -541,9 +496,6 @@ void NbHdt::remove_spanning_edge(const Edge& e, EdgeState st,
       cell_pool().retire(winner);
     } else {
       forest0_->cut_commit(h);
-#ifdef CONDYN_TRACE_EDGE_STATES
-      rec->trace(24, 0, 0);  // split committed
-#endif
     }
     h.old_root->as_level0().removal_op.store(nullptr,
                                              std::memory_order_seq_cst);
@@ -554,14 +506,11 @@ void NbHdt::remove_spanning_edge(const Edge& e, EdgeState st,
     for (int j = found_level; j >= 1; --j) forest(j).link(repl.u, repl.v);
     forest0_->cut_relink(h, repl.u, repl.v);
     forest(found_level).set_arc_at_level(repl.u, repl.v, true);
-#ifdef CONDYN_TRACE_EDGE_STATES
-    states_.cell(repl)->trace(23, 0, 0);  // arcs created (upper-level repl)
-#endif
   }
 
   // The removed edge leaves the graph; same stamp — the next incarnation of
   // this edge bumps it (kRemoved → kInitial).
-  rec->store(st.with(kRemoved, 0), 8);
+  rec->store(st.with(kRemoved, 0));
 }
 
 bool NbHdt::search_upper_levels(const Edge& removed, int top_level, Edge* out,
@@ -572,9 +521,7 @@ bool NbHdt::search_upper_levels(const Edge& removed, int top_level, Edge* out,
     Node* ru = ett::find_root(fi.vertex_node(removed.u));
     Node* rv = ett::find_root(fi.vertex_node(removed.v));
     assert(ru != rv);
-    Node* tv =
-        Forest::subtree_vertices(ru) <= Forest::subtree_vertices(rv) ? ru : rv;
-    Node* other = (tv == ru) ? rv : ru;
+    const auto [tv, other] = smaller_piece(ru, rv);
     // Lazy promotion (DESIGN.md §4.2): only level-0 additions are lock-free,
     // so under our locks a false flag means tv has no level-i non-tree edge
     // to find, and none to promote that would need tv's tree edges above.
@@ -597,29 +544,6 @@ bool NbHdt::search_upper_levels(const Edge& removed, int top_level, Edge* out,
   return false;
 }
 
-namespace {
-
-/// Shared subtree walk: visit every vertex node whose subtree flag promises
-/// non-spanning edges; `visit(vertex_node)` returns true to stop the walk.
-/// When `recalc` is set, repair flags bottom-up (full scans lower stale
-/// flags; sampling must not, it skips edges without processing them).
-template <typename V>
-bool walk_flagged(Node* x, bool recalc, V&& visit) {
-  if (x == nullptr || !x->sub_nonspanning.load(std::memory_order_seq_cst))
-    return false;
-  bool found = false;
-  if (x->is_vertex() &&
-      x->local_nonspanning.load(std::memory_order_seq_cst) > 0) {
-    found = visit(x);
-  }
-  if (!found) found = walk_flagged(x->left, recalc, visit);
-  if (!found) found = walk_flagged(x->right, recalc, visit);
-  if (recalc) Forest::recalculate_flags(x);
-  return found;
-}
-
-}  // namespace
-
 bool NbHdt::sample_level(const LevelSearch& ls, Edge* out) {
   // Iyer et al. fast path: test up to kSampleBudget candidates without
   // promoting anything (§5.2 "Sampling").
@@ -637,7 +561,7 @@ bool NbHdt::sample_level(const LevelSearch& ls, Edge* out) {
       EdgeState st = rec->load();
       if (st.status() != kNonSpanning || st.level() != ls.level) return true;
       if (ett::find_root(fi.vertex_node(w)) != ls.other_root) return true;
-      if (rec->cas(st, st.with(kSpanning, ls.level), 11)) {
+      if (rec->cas(st, st.with(kSpanning, ls.level))) {
         remove_info(ls.level, e);
         *out = e;
         found = true;
@@ -669,7 +593,7 @@ bool NbHdt::scan_level(const LevelSearch& ls, Edge* out) {
         if (rw == ls.other_root) {
           // Replacement found. Levels ≥ 1 have no proposal slot — only
           // level-0 additions are non-blocking — so adopt directly.
-          if (!rec->cas(st, st.with(kSpanning, i), 9)) continue;  // st refreshed
+          if (!rec->cas(st, st.with(kSpanning, i))) continue;  // st refreshed
           remove_info(i, e);
           *out = e;
           found = true;
@@ -681,7 +605,7 @@ bool NbHdt::scan_level(const LevelSearch& ls, Edge* out) {
         // copy is deleted after — the multiset invariant's ordering).
         add_info(i + 1, e);
         EdgeState expect = st;
-        if (rec->cas(expect, st.with(kNonSpanning, i + 1), 10)) {
+        if (rec->cas(expect, st.with(kNonSpanning, i + 1))) {
           remove_info(i, e);
         } else {
           remove_info(i + 1, e);
@@ -694,40 +618,15 @@ bool NbHdt::scan_level(const LevelSearch& ls, Edge* out) {
   return found;
 }
 
-namespace {
-
-void collect_level_arcs(const Node* x, std::vector<Edge>& out) {
-  if (x == nullptr || !x->sub_level_arc) return;
-  if (x->arc_at_level && x->tail < x->head)  // each arc pair reported once
-    out.emplace_back(x->tail, x->head);
-  collect_level_arcs(x->left, out);
-  collect_level_arcs(x->right, out);
-}
-
-}  // namespace
-
 void NbHdt::promote_spanning(int i, Node* tv_root) {
-  assert(i + 1 <= lmax_);
-  // Collect level-i spanning arcs inside the smaller piece, then raise them.
-  std::vector<Edge> arcs;
-  collect_level_arcs(tv_root, arcs);
-
-  Forest& fi = forest(i);
-  Forest& fn = forest(i + 1);
-  for (const Edge& e : arcs) {
-    fi.set_arc_at_level(e.u, e.v, false);
-    fn.link(e.u, e.v);
-    fn.set_arc_at_level(e.u, e.v, true);
+  promote_level_arcs(i, tv_root, [&](const Edge& e) {
     EdgeStateCell* rec = states_.cell(e);
     EdgeState st = rec->load();
-#ifdef CONDYN_TRACE_EDGE_STATES
-    if (st.status() != kSpanning || st.level() != i) rec->dump_trace();
-#endif
     assert(st.status() == kSpanning && st.level() == i &&
            "arc flags and edge states must agree under the locks we hold");
-    [[maybe_unused]] const bool ok = rec->cas(st, st.with(kSpanning, i + 1), 12);
+    [[maybe_unused]] const bool ok = rec->cas(st, st.with(kSpanning, i + 1));
     assert(ok && "spanning states only change under the locks we hold");
-  }
+  });
 }
 
 void NbHdt::level0_search(RemovalOp* op, const LevelSearch& ls) {
@@ -781,7 +680,7 @@ bool NbHdt::level0_visit_edge(RemovalOp* op, const LevelSearch& ls, Vertex a,
         switch (propose_replacement(op, e, st, rec, &winner)) {
           case ProposeResult::kProposed: {
             EdgeState expect = st;
-            if (rec->cas(expect, st.with(kSpanning, 0), 13)) return true;
+            if (rec->cas(expect, st.with(kSpanning, 0))) return true;
             const EdgeState now = rec->load();
             if (now.status() == kSpanning && now.stamp() == st.stamp())
               return true;  // the proposer's own CAS won
@@ -799,7 +698,7 @@ bool NbHdt::level0_visit_edge(RemovalOp* op, const LevelSearch& ls, Vertex a,
         // Same side: help complete it as a plain non-spanning edge.
         add_info(0, e);
         EdgeState expect = st;
-        if (rec->cas(expect, st.with(kNonSpanning, 0), 14)) {
+        if (rec->cas(expect, st.with(kNonSpanning, 0))) {
           st = st.with(kNonSpanning, 0);
         } else {
           remove_info(0, e);
@@ -815,7 +714,7 @@ bool NbHdt::level0_visit_edge(RemovalOp* op, const LevelSearch& ls, Vertex a,
         // Candidate: make it spanning *first*, then publish through the slot
         // (Listing 10 lines 29-35); revert if a foreign proposal won.
         EdgeState expect = st;
-        if (!rec->cas(expect, st.with(kSpanning, 0), 15)) {
+        if (!rec->cas(expect, st.with(kSpanning, 0))) {
           st = expect;
           continue;
         }
@@ -825,7 +724,7 @@ bool NbHdt::level0_visit_edge(RemovalOp* op, const LevelSearch& ls, Vertex a,
             remove_info(0, e);
             return true;
           case ProposeResult::kOtherWon:
-            rec->store(st, 16);  // revert: the slot winner reconnects instead
+            rec->store(st);  // revert: the slot winner reconnects instead
             return true;
           case ProposeResult::kClosed:
             assert(false && "slot closed during our own search");
@@ -837,7 +736,7 @@ bool NbHdt::level0_visit_edge(RemovalOp* op, const LevelSearch& ls, Vertex a,
       if (1 > lmax_) return false;         // degenerate 2-vertex graphs
       add_info(1, e);
       EdgeState expect = st;
-      if (rec->cas(expect, st.with(kNonSpanning, 1), 19)) {
+      if (rec->cas(expect, st.with(kNonSpanning, 1))) {
         remove_info(0, e);
       } else {
         remove_info(1, e);
@@ -859,52 +758,37 @@ void NbHdt::check_invariants() {
         return;
       case kInitial:
       case kInProgress:
-        assert(false && "transient status on a quiescent structure");
+        require(false, "transient status on a quiescent structure", e);
         return;
-      case kSpanning: {
-        for (int i = 0; i <= st.level(); ++i) {
-          [[maybe_unused]] Forest* f = forest_if(i);
-          assert(f != nullptr && f->has_edge(e.u, e.v));
-        }
-        for (int i = st.level() + 1; i <= lmax_; ++i) {
-          [[maybe_unused]] Forest* f = forest_if(i);
-          assert(f == nullptr || !f->has_edge(e.u, e.v));
-        }
+      case kSpanning:
+        check_spanning_nesting(e, st.level());
         break;
-      }
       case kNonSpanning: {
         // At least one live copy in each endpoint's multiset at this level.
         for (auto [x, y] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
-          [[maybe_unused]] VertexMultiset* ms = adj_[st.level()].find(x);
-          assert(ms != nullptr);
-          [[maybe_unused]] bool present = false;
-          ms->for_each([&](Vertex t) {
-            if (t == y) {
-              present = true;
-              return false;
-            }
-            return true;
-          });
-          assert(present);
+          VertexMultiset* ms = adj_[st.level()].find(x);
+          bool present = false;
+          if (ms != nullptr) {
+            ms->for_each([&](Vertex t) {
+              present = t == y;
+              return !present;
+            });
+          }
+          require(present,
+                  "non-spanning edge without a copy in an endpoint's multiset",
+                  e);
         }
         // Both endpoints connected at the edge's level.
-        [[maybe_unused]] Forest* f = forest_if(st.level());
-        assert(f != nullptr);
-        assert(ett::find_root(f->vertex_node(e.u)) ==
-               ett::find_root(f->vertex_node(e.v)));
+        const Forest* f = forest_if(st.level());
+        Node* nu = f != nullptr ? f->vertex_node_if_exists(e.u) : nullptr;
+        Node* nv = f != nullptr ? f->vertex_node_if_exists(e.v) : nullptr;
+        require(nu != nullptr && nv != nullptr &&
+                    ett::find_root(nu) == ett::find_root(nv),
+                "non-spanning edge's endpoints apart at its level", e);
         break;
       }
     }
-    // Component-size invariant: |component of e in G_l| ≤ n / 2^l.
-    Forest* f = forest_if(st.level());
-    if (f != nullptr) {
-      Node* nu = f->vertex_node_if_exists(e.u);
-      if (nu != nullptr) {
-        [[maybe_unused]] const uint32_t sz =
-            Forest::subtree_vertices(ett::find_root(nu));
-        assert(static_cast<uint64_t>(sz) << st.level() <= n_);
-      }
-    }
+    check_size_bound(e, st.level());
   });
 }
 

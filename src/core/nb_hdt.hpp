@@ -11,6 +11,7 @@
 #include "core/edge_multiset.hpp"
 #include "core/edge_state.hpp"
 #include "core/ett.hpp"
+#include "core/hdt_levels.hpp"
 #include "core/label_cache.hpp"
 #include "core/sharded_map.hpp"
 #include "graph/graph.hpp"
@@ -56,7 +57,7 @@ struct RemovalOp {
 enum class NbLockMode { kFine, kCoarseSpin, kCoarseElision };
 
 /// The paper's full algorithm (§4.4 + Appendix C): Holm et al. dynamic
-/// connectivity where
+/// connectivity on the shared level skeleton (HdtLevels) where
 ///  * connectivity queries are lock-free (single-writer ETT, Listing 1);
 ///  * additions and removals of *non-spanning* edges are lock-free,
 ///    coordinated with concurrent spanning-edge removals through per-edge
@@ -64,31 +65,9 @@ enum class NbLockMode { kFine, kCoarseSpin, kCoarseElision };
 ///    (Listings 7–10);
 ///  * only updates that change the spanning forest take locks, per
 ///    NbLockMode.
-class NbHdt {
+class NbHdt : public HdtLevels {
  public:
   explicit NbHdt(Vertex n, NbLockMode mode, bool sampling = true);
-  ~NbHdt();
-  NbHdt(const NbHdt&) = delete;
-  NbHdt& operator=(const NbHdt&) = delete;
-
-  Vertex num_vertices() const noexcept { return n_; }
-  int max_level() const noexcept { return lmax_; }
-
-  /// Lock-free linearizable connectivity query.
-  bool connected(Vertex u, Vertex v) { return forest0_->connected(u, v); }
-
-  /// Lock-free value queries (Query API v2): the F_0 root's vcount / vmin
-  /// augmentation under the same versioned double-collect as connected().
-  /// A pending spanning removal keeps both pieces chained to — and counted
-  /// at — the old root until the cut commits, so the answer reflects the
-  /// not-yet-linearized state, exactly like connected() does. Never takes
-  /// the component lock (lock_stats stays flat on this path).
-  uint64_t component_size(Vertex u) {
-    return forest0_->component_size_nonblocking(u);
-  }
-  Vertex representative(Vertex u) {
-    return forest0_->representative_nonblocking(u);
-  }
 
   /// Insert (u,v); lock-free when the endpoints are already connected.
   /// Returns false if the edge was already present (or a concurrent addition
@@ -103,10 +82,9 @@ class NbHdt {
   bool is_spanning(Vertex u, Vertex v) const;
   int edge_level(Vertex u, Vertex v) const;  ///< -1 when absent
 
-  ett::Forest& level0() noexcept { return *forest0_; }
-
   /// Testing (quiescent only): forest nesting, status/forest agreement,
-  /// component-size bound, multiset copy invariant.
+  /// component-size bound, multiset copy invariant. Throws std::logic_error
+  /// on a broken invariant.
   void check_invariants();
 
  private:
@@ -165,16 +143,11 @@ class NbHdt {
   void level0_search(RemovalOp* op, const LevelSearch& ls);
   bool level0_visit_edge(RemovalOp* op, const LevelSearch& ls, Vertex a,
                          Vertex w, bool allow_promote);
-  /// Promote every level-i spanning arc inside tv's subtree to level i+1.
+  /// promote_level_arcs with each raised edge's state CAS'd to level i+1.
   void promote_spanning(int i, ett::Node* tv_root);
 
   void add_info(int level, const Edge& e);
   void remove_info(int level, const Edge& e);
-
-  ett::Forest& forest(int i);
-  ett::Forest* forest_if(int i) const noexcept {
-    return forests_[i].load(std::memory_order_acquire);
-  }
 
   template <typename F>
   void with_locked(Vertex u, Vertex v, F&& f) {
@@ -199,12 +172,8 @@ class NbHdt {
 
   static constexpr int kSampleBudget = 16;
 
-  Vertex n_;
-  int lmax_;
   NbLockMode mode_;
   bool sampling_;
-  ett::Forest* forest0_;
-  std::unique_ptr<std::atomic<ett::Forest*>[]> forests_;
   EdgeStateMap states_;
   /// adj_[i].find(v) = multiset of neighbors w with (v,w) non-spanning at
   /// level i (plus transient copies, see VertexMultiset docs).
@@ -293,8 +262,6 @@ class NbDc final : public DynamicConnectivity {
 
   Vertex num_vertices() const override { return hdt_.num_vertices(); }
   std::string name() const override { return name_; }
-
-  NbHdt& engine() noexcept { return hdt_; }
 
  private:
   NbHdt hdt_;
