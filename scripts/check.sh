@@ -130,10 +130,10 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
   cmake --build build-tsan -j "$jobs" \
     --target test_concurrent test_nb_hdt test_scenarios test_replay_dep \
              test_query_api test_label_cache test_batch test_sharded_map \
-             test_edge_multiset test_ingest test_server
+             test_edge_multiset test_ingest test_server test_combining
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
     --output-on-failure -j 2 \
-    -R 'test_concurrent|test_nb_hdt|test_scenarios|test_replay_dep|test_query_api|test_label_cache|test_batch|test_sharded_map|test_edge_multiset|test_ingest|test_server'
+    -R 'test_concurrent|test_nb_hdt|test_scenarios|test_replay_dep|test_query_api|test_label_cache|test_batch|test_sharded_map|test_edge_multiset|test_ingest|test_server|test_combining'
 fi
 
 # Optional mirror of the CI crash-recovery job: kill -9 the serving process

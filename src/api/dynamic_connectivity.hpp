@@ -101,11 +101,6 @@ struct BatchResult {
         break;  // value queries carry no summary counter
     }
   }
-
-  /// Boolean-kind convenience (the historical entry point).
-  void set(std::size_t i, OpKind kind, bool value) noexcept {
-    set_op(i, kind, value ? 1 : 0);
-  }
 };
 
 /// The label array of one components() call: labels[v] is the canonical

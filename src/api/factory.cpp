@@ -8,6 +8,7 @@
 #include "combining/parallel_combining.hpp"
 #include "core/coarse_dc.hpp"
 #include "core/fine_dc.hpp"
+#include "core/label_cache.hpp"
 #include "core/nb_hdt.hpp"
 #include "util/elision_lock.hpp"
 #include "util/rw_lock.hpp"
@@ -27,13 +28,20 @@ struct Name {
   }
 };
 
-/// The table entry of facade Dc, built as Dc(n, args..., name, sampling).
-template <Name kName, typename Dc, auto... kArgs>
-constexpr VariantInfo variant(int id, const char* description,
-                              VariantCaps caps) {
-  return {id, kName.s, description, caps,
+/// The table entry of facade Dc, built as Dc(n, args..., name, sampling),
+/// plus the label-cache flag when kCaps.label_cache is set: the one place
+/// that decides whether an engine builds the cache (DC_LABEL_CACHE=0
+/// turns it off for every variant).
+template <Name kName, typename Dc, VariantCaps kCaps, auto... kArgs>
+constexpr VariantInfo variant(int id, const char* description) {
+  return {id, kName.s, description, kCaps,
           [](Vertex n, bool sampling) -> std::unique_ptr<DynamicConnectivity> {
-            return std::make_unique<Dc>(n, kArgs..., kName.s, sampling);
+            if constexpr (kCaps.label_cache) {
+              return std::make_unique<Dc>(n, kArgs..., kName.s, sampling,
+                                          LabelCache::env_enabled());
+            } else {
+              return std::make_unique<Dc>(n, kArgs..., kName.s, sampling);
+            }
           }};
 }
 
@@ -52,43 +60,40 @@ constexpr VariantCaps kFlatCombining{
 
 constexpr VariantInfo kVariants[] = {
     // Coarse-grained family, (1)-(5).
-    variant<"coarse", CoarseDc<SpinLock, false>>(
-        1, "coarse-grained locking for all operations", kCoarse),
-    variant<"coarse-rw", CoarseDc<RwSpinLock, false>>(
-        2, "coarse-grained readers-writer lock", kCoarse),
-    variant<"coarse-nbreads", CoarseDc<SpinLock, true>>(
-        3, "coarse-grained updates + non-blocking reads", kCoarseNbReads),
-    variant<"coarse-htm", CoarseDc<ElisionLock, false>>(
-        4, "coarse-grained with HTM lock elision (all ops)", kCoarse),
-    variant<"coarse-htm-nbreads", CoarseDc<ElisionLock, true>>(
-        5, "HTM-elided lock for updates + non-blocking reads",
-        kCoarseNbReads),
+    variant<"coarse", CoarseDc<SpinLock, false>, kCoarse>(
+        1, "coarse-grained locking for all operations"),
+    variant<"coarse-rw", CoarseDc<RwSpinLock, false>, kCoarse>(
+        2, "coarse-grained readers-writer lock"),
+    variant<"coarse-nbreads", CoarseDc<SpinLock, true>, kCoarseNbReads>(
+        3, "coarse-grained updates + non-blocking reads"),
+    variant<"coarse-htm", CoarseDc<ElisionLock, false>, kCoarse>(
+        4, "coarse-grained with HTM lock elision (all ops)"),
+    variant<"coarse-htm-nbreads", CoarseDc<ElisionLock, true>,
+            kCoarseNbReads>(
+        5, "HTM-elided lock for updates + non-blocking reads"),
     // Fine-grained family, (6)-(8).
-    variant<"fine", FineDc<FineReadMode::kLocked>>(
-        6, "fine-grained per-component locks for all operations", kFine),
-    variant<"fine-rw", FineDc<FineReadMode::kSharedLocks>>(
-        7, "fine-grained readers-writer component locks", kFine),
-    variant<"fine-nbreads", FineDc<FineReadMode::kNonBlocking>>(
-        8, "fine-grained updates + non-blocking reads", kNbReads),
+    variant<"fine", FineDc<FineReadMode::kLocked>, kFine>(
+        6, "fine-grained per-component locks for all operations"),
+    variant<"fine-rw", FineDc<FineReadMode::kSharedLocks>, kFine>(
+        7, "fine-grained readers-writer component locks"),
+    variant<"fine-nbreads", FineDc<FineReadMode::kNonBlocking>, kNbReads>(
+        8, "fine-grained updates + non-blocking reads"),
     // The paper's full algorithm, (9)-(11).
-    variant<"full", NbDc, NbLockMode::kFine>(
+    variant<"full", NbDc, kNbReads, NbLockMode::kFine>(
         9,
         "our algorithm: fine-grained + non-blocking reads + lock-free "
-        "non-spanning updates",
-        kNbReads),
-    variant<"full-coarse", NbDc, NbLockMode::kCoarseSpin>(
-        10, "our algorithm with a coarse lock for spanning updates", kNbReads),
-    variant<"full-coarse-htm", NbDc, NbLockMode::kCoarseElision>(
-        11, "our algorithm with an HTM-elided coarse lock", kNbReads),
+        "non-spanning updates"),
+    variant<"full-coarse", NbDc, kNbReads, NbLockMode::kCoarseSpin>(
+        10, "our algorithm with a coarse lock for spanning updates"),
+    variant<"full-coarse-htm", NbDc, kNbReads, NbLockMode::kCoarseElision>(
+        11, "our algorithm with an HTM-elided coarse lock"),
     // Combining baselines, (12)-(13).
-    variant<"parallel-combining", ParallelCombiningDc>(
+    variant<"parallel-combining", ParallelCombiningDc, kParallelCombining>(
         12,
         "parallel combining (Aksenov et al.): batched updates, parallel "
-        "read phase",
-        kParallelCombining),
-    variant<"fc-nbreads", FlatCombiningDc>(
-        13, "flat combining for updates + our non-blocking reads",
-        kFlatCombining),
+        "read phase"),
+    variant<"fc-nbreads", FlatCombiningDc, kFlatCombining>(
+        13, "flat combining for updates + our non-blocking reads"),
 };
 
 // find_variant(int) indexes the table by id.

@@ -22,11 +22,12 @@ struct VariantCaps {
   /// Updates funnel through a combining substrate (one thread applies
   /// everyone's published operations).
   bool combining = false;
-  /// Reads route through the epoch-published component-label cache
-  /// (DESIGN.md §8): O(1) hits for connected/component_size/representative
-  /// and snapshot-consistent components(), gated at construction by
-  /// DC_LABEL_CACHE. Set by the families whose reads are lock-free (the
-  /// cache's fallback is exactly that read path).
+  /// The engine builds the epoch-published component-label cache (DESIGN.md
+  /// §8): O(1) hits for connected/component_size/representative and
+  /// snapshot-consistent components(). The only switch for the cache: the
+  /// factory passes it to the engine, unless DC_LABEL_CACHE=0. Set by the
+  /// families whose reads are lock-free (the cache's fallback is exactly
+  /// that read path).
   bool label_cache = false;
 };
 

@@ -17,23 +17,6 @@ namespace condyn::combining {
 /// cache-line-private slot indexed by its process-wide thread_index(); a
 /// thread publishes its operation, and whichever thread holds the combiner
 /// lock executes pending operations on behalf of everyone.
-enum class OpType : uint32_t {
-  kNone,
-  kAdd,
-  kRemove,
-  kConnected,
-  kBatch,
-  kComponentSize,   ///< value query: |V| of u's component (Query API v2)
-  kRepresentative,  ///< value query: smallest vertex id in u's component
-};
-
-/// Published single-op types a combiner may execute on behalf of the owner
-/// without mutating the structure (the parallel-combining read phase).
-constexpr bool is_read_type(OpType t) noexcept {
-  return t == OpType::kConnected || t == OpType::kComponentSize ||
-         t == OpType::kRepresentative;
-}
-
 enum SlotState : uint32_t {
   kEmpty = 0,
   kPending = 1,  ///< published, waiting for a combiner
@@ -43,18 +26,18 @@ enum SlotState : uint32_t {
 
 struct alignas(kCacheLine) Slot {
   std::atomic<uint32_t> state{kEmpty};
-  OpType type = OpType::kNone;
-  Vertex u = 0;
-  Vertex v = 0;
-  /// Raw result of the published op: 0/1 for the boolean types, the
-  /// component size / representative id for the value-query types.
+  /// The published single op (unused when `batch` is set).
+  Op op;
+  /// Raw result of the published op: 0/1 for the boolean kinds, the
+  /// component size / representative id for the value queries.
   uint64_t result = 0;
-  /// kBatch publication: the whole batch rides in one slot, so a combiner
-  /// pass costs one synchronization per *batch* per thread instead of one
-  /// per operation. The owner keeps `batch`/`batch_out` alive until the
-  /// combiner flips the slot to kDone. `batch_read_only` (set by the owner
-  /// at publication) lets parallel combining release query-only batches
-  /// into its parallel read phase instead of the sequential update phase.
+  /// Batch publication, marked by batch != nullptr: the whole batch rides
+  /// in one slot, so a combiner pass costs one synchronization per *batch*
+  /// per thread instead of one per operation. The owner keeps
+  /// `batch`/`batch_out` alive until the combiner flips the slot to kDone,
+  /// then clears `batch`. `batch_read_only` (set by the owner at
+  /// publication) lets parallel combining release query-only batches into
+  /// its parallel read phase instead of the sequential update phase.
   const Op* batch = nullptr;
   uint32_t batch_len = 0;
   BatchResult* batch_out = nullptr;

@@ -7,7 +7,6 @@ namespace condyn {
 using combining::kDone;
 using combining::kEmpty;
 using combining::kPending;
-using combining::OpType;
 using combining::Slot;
 
 FlatCombiningDc::FlatCombiningDc(Vertex n, std::string name, bool sampling)
@@ -21,27 +20,10 @@ void FlatCombiningDc::combine() {
   for (unsigned i = 0; i < active; ++i) {
       Slot& s = slots_.at(i);
       if (s.state.load(std::memory_order_seq_cst) != kPending) continue;
-      switch (s.type) {
-        case OpType::kAdd:
-          s.result = hdt_.add_edge(s.u, s.v).performed ? 1 : 0;
-          break;
-        case OpType::kRemove:
-          s.result = hdt_.remove_edge(s.u, s.v).performed ? 1 : 0;
-          break;
-        case OpType::kConnected:
-          s.result = hdt_.connected_writer(s.u, s.v) ? 1 : 0;
-          break;
-        case OpType::kComponentSize:
-          s.result = hdt_.component_size_writer(s.u);
-          break;
-        case OpType::kRepresentative:
-          s.result = hdt_.representative_writer(s.u);
-          break;
-        case OpType::kBatch:
-          hdt_.apply_batch({s.batch, s.batch_len}, *s.batch_out);
-          break;
-        case OpType::kNone:
-          break;
+      if (s.batch != nullptr) {
+        hdt_.apply_batch({s.batch, s.batch_len}, *s.batch_out);
+      } else {
+        s.result = hdt_.exec_writer(s.op);
       }
       s.state.store(kDone, std::memory_order_seq_cst);
     }
@@ -75,13 +57,11 @@ void FlatCombiningDc::submit_and_wait(Slot& s) {
   lock_stats::add_acquisition(true);
 }
 
-bool FlatCombiningDc::submit(OpType type, Vertex u, Vertex v) {
+uint64_t FlatCombiningDc::submit(const Op& op) {
   Slot& s = slots_.mine();
-  s.type = type;
-  s.u = u;
-  s.v = v;
+  s.op = op;
   submit_and_wait(s);
-  return s.result != 0;
+  return s.result;
 }
 
 BatchResult FlatCombiningDc::apply_batch(std::span<const Op> ops) {
@@ -97,7 +77,6 @@ BatchResult FlatCombiningDc::apply_batch(std::span<const Op> ops) {
   }
 
   Slot& s = slots_.mine();
-  s.type = OpType::kBatch;
   s.batch = ops.data();
   s.batch_len = static_cast<uint32_t>(ops.size());
   s.batch_out = &r;

@@ -23,10 +23,10 @@ class FlatCombiningDc final : public DynamicConnectivity {
                            bool sampling = true);
 
   bool add_edge(Vertex u, Vertex v) override {
-    return submit(combining::OpType::kAdd, u, v);
+    return submit(Op::add(u, v)) != 0;
   }
   bool remove_edge(Vertex u, Vertex v) override {
-    return submit(combining::OpType::kRemove, u, v);
+    return submit(Op::remove(u, v)) != 0;
   }
   bool connected(Vertex u, Vertex v) override { return hdt_.connected(u, v); }
 
@@ -48,7 +48,7 @@ class FlatCombiningDc final : public DynamicConnectivity {
   std::string name() const override { return name_; }
 
  private:
-  bool submit(combining::OpType type, Vertex u, Vertex v);
+  uint64_t submit(const Op& op);
   void submit_and_wait(combining::Slot& s);
   void combine();
 

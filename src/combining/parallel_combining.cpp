@@ -9,7 +9,6 @@ using combining::kDone;
 using combining::kEmpty;
 using combining::kGo;
 using combining::kPending;
-using combining::OpType;
 using combining::Slot;
 
 ParallelCombiningDc::ParallelCombiningDc(Vertex n, std::string name,
@@ -20,27 +19,14 @@ ParallelCombiningDc::ParallelCombiningDc(Vertex n, std::string name,
 /// quiescent structure — shared by the GO read phase (owner side) and the
 /// combiner running its own slot.
 void ParallelCombiningDc::run_reads(Slot& s) {
-  if (s.type == OpType::kBatch) {
+  // Only read-only slots enter this phase.
+  if (s.batch != nullptr) {
     op_stats::local().reads += s.batch_len;
-    for (uint32_t i = 0; i < s.batch_len; ++i) {
-      // Only read-only batches enter this phase; the shared engine dispatch
-      // covers the whole query vocabulary.
-      s.batch_out->set_op(i, s.batch[i].kind,
-                          hdt_.exec_query_writer(s.batch[i]));
-    }
+    for (uint32_t i = 0; i < s.batch_len; ++i)
+      s.batch_out->set_op(i, s.batch[i].kind, hdt_.exec_writer(s.batch[i]));
   } else {
     ++op_stats::local().reads;
-    switch (s.type) {
-      case OpType::kComponentSize:
-        s.result = hdt_.component_size_writer(s.u);
-        break;
-      case OpType::kRepresentative:
-        s.result = hdt_.representative_writer(s.u);
-        break;
-      default:
-        s.result = hdt_.connected_writer(s.u, s.v) ? 1 : 0;
-        break;
-    }
+    s.result = hdt_.exec_writer(s.op);
   }
 }
 
@@ -60,8 +46,7 @@ void ParallelCombiningDc::combine() {
     Slot& s = slots_.at(i);
     if (s.state.load(std::memory_order_seq_cst) != kPending) continue;
     const bool read_only =
-        combining::is_read_type(s.type) ||
-        (s.type == OpType::kBatch && s.batch_read_only);
+        s.batch != nullptr ? s.batch_read_only : is_query(s.op.kind);
     if (read_only) {
       if (i == me) {
         // The combiner's own read(s): executing them via GO would deadlock
@@ -87,18 +72,10 @@ void ParallelCombiningDc::combine() {
   // Phase 2 — apply updates sequentially (single writer).
   for (unsigned k = 0; k < n_updates; ++k) {
     Slot& s = slots_.at(updates[k]);
-    switch (s.type) {
-      case OpType::kAdd:
-        s.result = hdt_.add_edge(s.u, s.v).performed ? 1 : 0;
-        break;
-      case OpType::kRemove:
-        s.result = hdt_.remove_edge(s.u, s.v).performed ? 1 : 0;
-        break;
-      case OpType::kBatch:
-        hdt_.apply_batch({s.batch, s.batch_len}, *s.batch_out);
-        break;
-      default:
-        break;
+    if (s.batch != nullptr) {
+      hdt_.apply_batch({s.batch, s.batch_len}, *s.batch_out);
+    } else {
+      s.result = hdt_.exec_writer(s.op);
     }
     s.state.store(kDone, std::memory_order_seq_cst);
   }
@@ -141,11 +118,9 @@ void ParallelCombiningDc::submit_and_wait(Slot& s) {
   lock_stats::add_acquisition(true);
 }
 
-uint64_t ParallelCombiningDc::submit(OpType type, Vertex u, Vertex v) {
+uint64_t ParallelCombiningDc::submit(const Op& op) {
   Slot& s = slots_.mine();
-  s.type = type;
-  s.u = u;
-  s.v = v;
+  s.op = op;
   submit_and_wait(s);
   return s.result;
 }
@@ -155,7 +130,6 @@ BatchResult ParallelCombiningDc::apply_batch(std::span<const Op> ops) {
   r.values.resize(ops.size());
   if (ops.empty()) return r;
   Slot& s = slots_.mine();
-  s.type = OpType::kBatch;
   s.batch = ops.data();
   s.batch_len = static_cast<uint32_t>(ops.size());
   s.batch_out = &r;

@@ -25,13 +25,13 @@ class ParallelCombiningDc final : public DynamicConnectivity {
                                bool sampling = true);
 
   bool add_edge(Vertex u, Vertex v) override {
-    return submit(combining::OpType::kAdd, u, v) != 0;
+    return submit(Op::add(u, v)) != 0;
   }
   bool remove_edge(Vertex u, Vertex v) override {
-    return submit(combining::OpType::kRemove, u, v) != 0;
+    return submit(Op::remove(u, v)) != 0;
   }
   bool connected(Vertex u, Vertex v) override {
-    return submit(combining::OpType::kConnected, u, v) != 0;
+    return submit(Op::connected(u, v)) != 0;
   }
 
   /// Value queries publish through the same slot protocol as connected():
@@ -39,11 +39,10 @@ class ParallelCombiningDc final : public DynamicConnectivity {
   /// reads), where their owners execute the root lookup on the quiescent
   /// structure.
   uint64_t component_size(Vertex u) override {
-    return submit(combining::OpType::kComponentSize, u, u);
+    return submit(Op::component_size(u));
   }
   Vertex representative(Vertex u) override {
-    return static_cast<Vertex>(
-        submit(combining::OpType::kRepresentative, u, u));
+    return static_cast<Vertex>(submit(Op::representative(u)));
   }
 
   /// Batched path: the whole (possibly mixed) batch is published through
@@ -59,7 +58,7 @@ class ParallelCombiningDc final : public DynamicConnectivity {
   std::string name() const override { return name_; }
 
  private:
-  uint64_t submit(combining::OpType type, Vertex u, Vertex v);
+  uint64_t submit(const Op& op);
   void submit_and_wait(combining::Slot& s);
   void run_reads(combining::Slot& s);
   void combine();

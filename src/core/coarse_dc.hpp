@@ -5,7 +5,6 @@
 
 #include "api/dynamic_connectivity.hpp"
 #include "core/hdt.hpp"
-#include "core/label_cache.hpp"
 #include "core/stats.hpp"
 
 namespace condyn {
@@ -21,15 +20,9 @@ namespace condyn {
 template <typename Lock, bool NonBlockingReads>
 class CoarseDc final : public DynamicConnectivity {
  public:
-  explicit CoarseDc(Vertex n, std::string name, bool sampling = true)
-      : hdt_(n, sampling), name_(std::move(name)) {
-    // The label cache's hit path and fallback are both lock-free, so only
-    // the non-blocking-reads instantiations build one (DESIGN.md §8).
-    if constexpr (NonBlockingReads) {
-      if (LabelCache::env_enabled())
-        cache_ = std::make_unique<LabelCache>(&hdt_.level0());
-    }
-  }
+  explicit CoarseDc(Vertex n, std::string name, bool sampling = true,
+                    bool label_cache = false)
+      : hdt_(n, sampling, label_cache), name_(std::move(name)) {}
 
   bool add_edge(Vertex u, Vertex v) override {
     std::lock_guard<Lock> lk(mu_);
@@ -43,7 +36,7 @@ class CoarseDc final : public DynamicConnectivity {
 
   bool connected(Vertex u, Vertex v) override {
     if constexpr (NonBlockingReads) {
-      return cache_ ? cache_->connected(u, v) : hdt_.connected(u, v);
+      return hdt_.connected(u, v);
     } else {
       ++op_stats::local().reads;
       mu_.lock_shared();  // == lock() for exclusive-only locks
@@ -58,7 +51,7 @@ class CoarseDc final : public DynamicConnectivity {
   /// shared (or exclusive) locked root lookup otherwise.
   uint64_t component_size(Vertex u) override {
     if constexpr (NonBlockingReads) {
-      return cache_ ? cache_->component_size(u) : hdt_.component_size(u);
+      return hdt_.component_size(u);
     } else {
       ++op_stats::local().reads;
       mu_.lock_shared();
@@ -70,7 +63,7 @@ class CoarseDc final : public DynamicConnectivity {
 
   Vertex representative(Vertex u) override {
     if constexpr (NonBlockingReads) {
-      return cache_ ? cache_->representative(u) : hdt_.representative(u);
+      return hdt_.representative(u);
     } else {
       ++op_stats::local().reads;
       mu_.lock_shared();
@@ -96,17 +89,13 @@ class CoarseDc final : public DynamicConnectivity {
       // otherwise (so coarse-rw read batches keep their reader
       // parallelism).
       if constexpr (NonBlockingReads) {
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-          r.set_op(i, ops[i].kind,
-                   cache_ ? cache_->exec_query(ops[i])
-                          : hdt_.exec_query(ops[i]));
-        }
+        for (std::size_t i = 0; i < ops.size(); ++i)
+          r.set_op(i, ops[i].kind, hdt_.exec_query(ops[i]));
       } else {
         op_stats::local().reads += ops.size();
         mu_.lock_shared();  // == lock() for exclusive-only locks
-        for (std::size_t i = 0; i < ops.size(); ++i) {
-          r.set_op(i, ops[i].kind, hdt_.exec_query_writer(ops[i]));
-        }
+        for (std::size_t i = 0; i < ops.size(); ++i)
+          r.set_op(i, ops[i].kind, hdt_.exec_writer(ops[i]));
         mu_.unlock_shared();
       }
       return r;
@@ -116,18 +105,7 @@ class CoarseDc final : public DynamicConnectivity {
     return r;
   }
 
-  ComponentsSnapshot components() override {
-    if constexpr (NonBlockingReads) {
-      if (cache_ != nullptr) {
-        ComponentsSnapshot s;
-        if (cache_->snapshot_labels(s.labels)) {
-          s.consistent = true;
-          return s;
-        }
-      }
-    }
-    return DynamicConnectivity::components();
-  }
+  ComponentsSnapshot components() override { return hdt_.components(*this); }
 
   Vertex num_vertices() const override { return hdt_.num_vertices(); }
   std::string name() const override { return name_; }
@@ -136,8 +114,6 @@ class CoarseDc final : public DynamicConnectivity {
   Hdt hdt_;
   Lock mu_;
   std::string name_;
-  /// Declared last: destroyed first, detaching from hdt_'s level-0 forest.
-  std::unique_ptr<LabelCache> cache_;
 };
 
 }  // namespace condyn

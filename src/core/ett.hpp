@@ -330,8 +330,8 @@ class Forest {
   }
 
   /// Attach (or detach, with nullptr) the epoch-published label cache
-  /// (DESIGN.md §8). Only ever set on a level-0 forest, by the owning
-  /// facade, before concurrent use begins; when set, every structural
+  /// (DESIGN.md §8). Only ever set on a level-0 forest, by its engine's
+  /// cache, before concurrent use begins; when set, every structural
   /// bracket — link(), and cut_prepare() through cut_commit()/cut_relink()
   /// — expires the cache words of the one or two components it touches,
   /// right after bumping their roots odd (a relink restores the word it

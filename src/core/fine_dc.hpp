@@ -6,7 +6,6 @@
 #include "core/batch_runs.hpp"
 #include "core/component_lock.hpp"
 #include "core/hdt.hpp"
-#include "core/label_cache.hpp"
 #include "core/stats.hpp"
 
 namespace condyn {
@@ -28,15 +27,9 @@ enum class FineReadMode {
 template <FineReadMode Mode>
 class FineDc final : public DynamicConnectivity {
  public:
-  explicit FineDc(Vertex n, std::string name, bool sampling = true)
-      : hdt_(n, sampling), name_(std::move(name)) {
-    // Only the non-blocking read mode builds the cache: its hit path and
-    // fallback are lock-free, matching that mode's read discipline.
-    if constexpr (Mode == FineReadMode::kNonBlocking) {
-      if (LabelCache::env_enabled())
-        cache_ = std::make_unique<LabelCache>(&hdt_.level0());
-    }
-  }
+  explicit FineDc(Vertex n, std::string name, bool sampling = true,
+                  bool label_cache = false)
+      : hdt_(n, sampling, label_cache), name_(std::move(name)) {}
 
   bool add_edge(Vertex u, Vertex v) override {
     if (u == v) return false;
@@ -52,7 +45,7 @@ class FineDc final : public DynamicConnectivity {
 
   bool connected(Vertex u, Vertex v) override {
     if constexpr (Mode == FineReadMode::kNonBlocking) {
-      return cache_ ? cache_->connected(u, v) : hdt_.connected(u, v);
+      return hdt_.connected(u, v);
     } else if constexpr (Mode == FineReadMode::kSharedLocks) {
       ++op_stats::local().reads;
       SharedComponentGuard g(hdt_.level0(), u, v);
@@ -70,7 +63,7 @@ class FineDc final : public DynamicConnectivity {
   /// discipline as connected().
   uint64_t component_size(Vertex u) override {
     if constexpr (Mode == FineReadMode::kNonBlocking) {
-      return cache_ ? cache_->component_size(u) : hdt_.component_size(u);
+      return hdt_.component_size(u);
     } else {
       ++op_stats::local().reads;
       return ett::Node::vstat_count(locked_root_vstat(u));
@@ -79,7 +72,7 @@ class FineDc final : public DynamicConnectivity {
 
   Vertex representative(Vertex u) override {
     if constexpr (Mode == FineReadMode::kNonBlocking) {
-      return cache_ ? cache_->representative(u) : hdt_.representative(u);
+      return hdt_.representative(u);
     } else {
       ++op_stats::local().reads;
       return ett::Node::vstat_min(locked_root_vstat(u));
@@ -109,7 +102,7 @@ class FineDc final : public DynamicConnectivity {
           for (std::size_t p = 0; p < order.size();) {
             const Op& first = ops[order[p]];
             if (first.u == first.v) {
-              r.set(order[p], first.kind, false);
+              r.set_op(order[p], first.kind, 0);
               ++p;
               continue;
             }
@@ -122,7 +115,7 @@ class FineDc final : public DynamicConnectivity {
               const Hdt::UpdateOutcome o = op.kind == OpKind::kAdd
                                                ? hdt_.add_edge(op.u, op.v)
                                                : hdt_.remove_edge(op.u, op.v);
-              r.set(order[p], op.kind, o.performed);
+              r.set_op(order[p], op.kind, o.performed ? 1 : 0);
               ++p;
               guard_valid = !o.spanning;
             }
@@ -131,18 +124,7 @@ class FineDc final : public DynamicConnectivity {
     return r;
   }
 
-  ComponentsSnapshot components() override {
-    if constexpr (Mode == FineReadMode::kNonBlocking) {
-      if (cache_ != nullptr) {
-        ComponentsSnapshot s;
-        if (cache_->snapshot_labels(s.labels)) {
-          s.consistent = true;
-          return s;
-        }
-      }
-    }
-    return DynamicConnectivity::components();
-  }
+  ComponentsSnapshot components() override { return hdt_.components(*this); }
 
   Vertex num_vertices() const override { return hdt_.num_vertices(); }
   std::string name() const override { return name_; }
@@ -163,8 +145,6 @@ class FineDc final : public DynamicConnectivity {
 
   Hdt hdt_;
   std::string name_;
-  /// Declared last: destroyed first, detaching from hdt_'s level-0 forest.
-  std::unique_ptr<LabelCache> cache_;
 };
 
 }  // namespace condyn

@@ -10,8 +10,8 @@ namespace condyn {
 using ett::Forest;
 using ett::Node;
 
-Hdt::Hdt(Vertex n, bool sampling)
-    : HdtLevels(n),
+Hdt::Hdt(Vertex n, bool sampling, bool label_cache)
+    : HdtLevels(n, label_cache),
       sampling_(sampling),
       edges_(2 * static_cast<std::size_t>(n)),  // steady-state |E| guess
       adj_(std::make_unique<ShardedU64Map<AdjSet>[]>(lmax_ + 2)) {}
@@ -149,16 +149,11 @@ void Hdt::apply_batch(std::span<const Op> ops, BatchResult& out) {
       ops,
       [&](std::size_t i) {
         ++op_stats::local().reads;
-        out.set_op(i, ops[i].kind, exec_query_writer(ops[i]));
+        out.set_op(i, ops[i].kind, exec_writer(ops[i]));
       },
       [&](std::span<const uint32_t> order) {
-        for (uint32_t k : order) {
-          const Op& op = ops[k];
-          const bool performed = op.kind == OpKind::kAdd
-                                     ? add_edge(op.u, op.v).performed
-                                     : remove_edge(op.u, op.v).performed;
-          out.set(k, op.kind, performed);
-        }
+        for (uint32_t k : order)
+          out.set_op(k, ops[k].kind, exec_writer(ops[k]));
       });
 }
 

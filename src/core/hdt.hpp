@@ -40,7 +40,7 @@ class Hdt : public HdtLevels {
     bool spanning = false;   ///< the spanning forest changed (or was probed)
   };
 
-  explicit Hdt(Vertex n, bool sampling = true);
+  explicit Hdt(Vertex n, bool sampling = true, bool label_cache = false);
 
   /// Writer-side query: caller holds lock(s) covering both components.
   bool connected_writer(Vertex u, Vertex v) {
@@ -55,25 +55,18 @@ class Hdt : public HdtLevels {
     return forest0_->representative_writer(u);
   }
 
-  /// One query op of any is_query kind, as a raw value — the single
-  /// dispatch behind every variant's pure-read path (a new query kind is
-  /// added here once, not in each variant's switch). exec_query runs
-  /// lock-free; exec_query_writer requires the caller's lock(s).
-  uint64_t exec_query(const Op& op) {
+  /// One op of any kind as a raw value (bool kinds as 0/1) under the
+  /// caller's lock(s): the locked dispatch behind batches and the combining
+  /// baselines. Lock-free reads dispatch through HdtLevels::exec_query.
+  uint64_t exec_writer(const Op& op) {
     switch (op.kind) {
-      case OpKind::kConnected: return connected(op.u, op.v) ? 1 : 0;
-      case OpKind::kComponentSize: return component_size(op.u);
-      case OpKind::kRepresentative: return representative(op.u);
-      default: return 0;  // updates never reach the query paths
-    }
-  }
-  uint64_t exec_query_writer(const Op& op) {
-    switch (op.kind) {
+      case OpKind::kAdd: return add_edge(op.u, op.v).performed ? 1 : 0;
+      case OpKind::kRemove: return remove_edge(op.u, op.v).performed ? 1 : 0;
       case OpKind::kConnected: return connected_writer(op.u, op.v) ? 1 : 0;
       case OpKind::kComponentSize: return component_size_writer(op.u);
       case OpKind::kRepresentative: return representative_writer(op.u);
-      default: return 0;
     }
+    return 0;
   }
 
   /// Writer: insert (u,v). Returns {performed=false} if already present.

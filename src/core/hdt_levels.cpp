@@ -19,7 +19,7 @@ int levels_for(Vertex n) noexcept {
 
 }  // namespace
 
-HdtLevels::HdtLevels(Vertex n)
+HdtLevels::HdtLevels(Vertex n, bool label_cache)
     : n_(n),
       lmax_(levels_for(std::max<Vertex>(n, 2))),
       forests_(std::make_unique<std::atomic<Forest*>[]>(lmax_ + 2)) {
@@ -27,9 +27,11 @@ HdtLevels::HdtLevels(Vertex n)
     forests_[i].store(nullptr, std::memory_order_relaxed);
   forest0_ = new Forest(n_, 0);
   forests_[0].store(forest0_, std::memory_order_release);
+  if (label_cache) cache_ = std::make_unique<LabelCache>(forest0_);
 }
 
 HdtLevels::~HdtLevels() {
+  cache_.reset();  // detaches from forest0_
   for (int i = 0; i <= lmax_ + 1; ++i)
     delete forests_[i].load(std::memory_order_relaxed);
 }

@@ -6,7 +6,9 @@
 #include <memory>
 #include <vector>
 
+#include "api/dynamic_connectivity.hpp"
 #include "core/ett.hpp"
+#include "core/label_cache.hpp"
 #include "graph/graph.hpp"
 
 namespace condyn {
@@ -15,10 +17,11 @@ namespace condyn {
 /// (paper §4.1–§4.2): levels 0..⌊log2 n⌋, one Euler-tour forest F_i per
 /// level, created on first use, where F_i spans the subgraph G_i of edges
 /// with level ≥ i and F_0 is the published forest that lock-free queries
-/// read. It holds the parts of a replacement search that do not depend on
-/// how an edge's record is stored: the smaller-piece pick, the flagged
-/// subtree walk, the tree-arc promotion loop, and the forest-nesting and
-/// size-bound checks.
+/// read. It owns the optional label cache over F_0 (DESIGN.md §8) and the
+/// lock-free read path through it, and holds the parts of a replacement
+/// search that do not depend on how an edge's record is stored: the
+/// smaller-piece pick, the flagged subtree walk, the tree-arc promotion
+/// loop, and the forest-nesting and size-bound checks.
 ///
 /// The engines own the rest: the edge table, the per-level adjacency sets
 /// and the locking discipline (Hdt for the coarse and fine-grained
@@ -28,26 +31,59 @@ class HdtLevels {
   Vertex num_vertices() const noexcept { return n_; }
   int max_level() const noexcept { return lmax_; }
 
-  /// The published forest readers traverse; variant layers use it for root
-  /// discovery (fine-grained locking) and non-blocking reads.
+  /// The published forest readers traverse; the fine-grained variants use
+  /// it for root discovery (component locks).
   ett::Forest& level0() noexcept { return *forest0_; }
 
-  /// Lock-free linearizable connectivity query (Listing 1 on F_0).
-  bool connected(Vertex u, Vertex v) { return forest0_->connected(u, v); }
+  /// Lock-free linearizable connectivity query (Listing 1 on F_0), answered
+  /// from the label cache when this engine has one. The engines' own
+  /// probes call forest0_ directly, so they never hit or publish labels.
+  bool connected(Vertex u, Vertex v) {
+    return cache_ ? cache_->connected(u, v) : forest0_->connected(u, v);
+  }
 
   /// Lock-free value queries (Query API v2): the F_0 root's vcount / vmin
-  /// augmentation under the same versioned double-collect as connected().
-  /// A pending spanning removal keeps both pieces counted at the old root
-  /// until the cut commits, exactly like connected().
+  /// augmentation under the same versioned double-collect as connected(),
+  /// or the cache's published label. A pending spanning removal keeps both
+  /// pieces counted at the old root until the cut commits, exactly like
+  /// connected().
   uint64_t component_size(Vertex u) {
-    return forest0_->component_size_nonblocking(u);
+    return cache_ ? cache_->component_size(u)
+                  : forest0_->component_size_nonblocking(u);
   }
   Vertex representative(Vertex u) {
-    return forest0_->representative_nonblocking(u);
+    return cache_ ? cache_->representative(u)
+                  : forest0_->representative_nonblocking(u);
+  }
+
+  /// One query op of any is_query kind as a raw value: the lock-free
+  /// dispatch behind every variant's non-blocking read path (a new query
+  /// kind is added here once).
+  uint64_t exec_query(const Op& op) {
+    switch (op.kind) {
+      case OpKind::kConnected: return connected(op.u, op.v) ? 1 : 0;
+      case OpKind::kComponentSize: return component_size(op.u);
+      case OpKind::kRepresentative: return representative(op.u);
+      default: return 0;  // updates never reach the query paths
+    }
+  }
+
+  /// components() of a facade over this engine: one published label epoch
+  /// when the cache is built and churn lets it validate, otherwise the
+  /// facade's per-vertex scan.
+  ComponentsSnapshot components(DynamicConnectivity& facade) {
+    ComponentsSnapshot s;
+    if (cache_ != nullptr && cache_->snapshot_labels(s.labels)) {
+      s.consistent = true;
+      return s;
+    }
+    return facade.DynamicConnectivity::components();
   }
 
  protected:
-  explicit HdtLevels(Vertex n);
+  /// `label_cache` builds the cache over F_0 (the variant table's
+  /// VariantCaps::label_cache, read in api/factory.cpp).
+  HdtLevels(Vertex n, bool label_cache);
   ~HdtLevels();
   HdtLevels(const HdtLevels&) = delete;
   HdtLevels& operator=(const HdtLevels&) = delete;
@@ -132,6 +168,7 @@ class HdtLevels {
   static void collect_level_arcs(const ett::Node* x, std::vector<Edge>& out);
 
   std::unique_ptr<std::atomic<ett::Forest*>[]> forests_;
+  std::unique_ptr<LabelCache> cache_;  // reset before the forests die
 };
 
 }  // namespace condyn

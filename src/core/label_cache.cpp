@@ -201,15 +201,6 @@ Vertex LabelCache::representative(Vertex u) {
   return forest_->representative_nonblocking(u);
 }
 
-uint64_t LabelCache::exec_query(const Op& op) {
-  switch (op.kind) {
-    case OpKind::kConnected: return connected(op.u, op.v) ? 1 : 0;
-    case OpKind::kComponentSize: return component_size(op.u);
-    case OpKind::kRepresentative: return representative(op.u);
-    default: return 0;  // updates never reach the query paths
-  }
-}
-
 bool LabelCache::snapshot_labels(std::vector<Vertex>& out) {
   if (!globally_enabled()) return false;
   out.resize(n_);

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "api/dynamic_connectivity.hpp"
 #include "graph/graph.hpp"
 
 namespace condyn::ett {
@@ -96,8 +95,9 @@ namespace condyn {
 /// read) until its next structural update moves the version to 1 —
 /// deliberately: jumping to 2 instead could revive ancient era-2 labels.
 ///
-/// Lifetime: the facade owns the cache and declares it after its engine, so
-/// the destructor detaches from the forest before the forest dies.
+/// Lifetime: the engine's level skeleton (HdtLevels) owns the cache over its
+/// F_0 and resets it before deleting the forests, so the destructor detaches
+/// from the forest before the forest dies.
 class LabelCache {
  public:
   explicit LabelCache(ett::Forest* forest);
@@ -115,10 +115,6 @@ class LabelCache {
   /// Component size / canonical representative, same hit-else-read shape.
   uint64_t component_size(Vertex u);
   Vertex representative(Vertex u);
-
-  /// One query op of any is_query kind (mirrors Hdt::exec_query) — the
-  /// dispatch behind the facades' pure-read batch loops.
-  uint64_t exec_query(const Op& op);
 
   /// Fill `out` (resized to num_vertices) with a consistent label array:
   /// a first pass validates every entry against its component word
@@ -159,8 +155,8 @@ class LabelCache {
   static void set_globally_enabled(bool on) noexcept;
   static bool globally_enabled() noexcept;
 
-  /// Construction-time knob: DC_LABEL_CACHE=0 makes the facades not build a
-  /// cache at all (default: on). Read once per process.
+  /// Construction-time knob: DC_LABEL_CACHE=0 makes the variant factory
+  /// build no cache for any variant (default: on). Read once per process.
   static bool env_enabled() noexcept;
 
  private:

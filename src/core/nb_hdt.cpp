@@ -31,8 +31,8 @@ constexpr EdgeStatus kInProgress = EdgeStatus::kInProgress;
 
 }  // namespace
 
-NbHdt::NbHdt(Vertex n, NbLockMode mode, bool sampling)
-    : HdtLevels(n),
+NbHdt::NbHdt(Vertex n, NbLockMode mode, bool sampling, bool label_cache)
+    : HdtLevels(n, label_cache),
       mode_(mode),
       sampling_(sampling),
       states_(2 * static_cast<std::size_t>(n)),  // steady-state |E| guess
@@ -271,7 +271,7 @@ bool NbHdt::add_edge(Vertex u, Vertex v) {
       if (creator) ++stats.additions;
       return creator;
     }
-    if (connected(u, v)) {
+    if (forest0_->connected(u, v)) {
       if (try_add_non_spanning(e, init, rec)) {
         if (creator) ++stats.additions;
         return creator;

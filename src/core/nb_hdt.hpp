@@ -12,7 +12,6 @@
 #include "core/edge_state.hpp"
 #include "core/ett.hpp"
 #include "core/hdt_levels.hpp"
-#include "core/label_cache.hpp"
 #include "core/sharded_map.hpp"
 #include "graph/graph.hpp"
 #include "util/elision_lock.hpp"
@@ -67,7 +66,8 @@ enum class NbLockMode { kFine, kCoarseSpin, kCoarseElision };
 ///    NbLockMode.
 class NbHdt : public HdtLevels {
  public:
-  explicit NbHdt(Vertex n, NbLockMode mode, bool sampling = true);
+  explicit NbHdt(Vertex n, NbLockMode mode, bool sampling = true,
+                 bool label_cache = false);
 
   /// Insert (u,v); lock-free when the endpoints are already connected.
   /// Returns false if the edge was already present (or a concurrent addition
@@ -186,19 +186,15 @@ class NbHdt : public HdtLevels {
 /// DynamicConnectivity facade over NbHdt — variants (9), (10), (11).
 class NbDc final : public DynamicConnectivity {
  public:
-  NbDc(Vertex n, NbLockMode mode, std::string name, bool sampling = true)
-      : hdt_(n, mode, sampling), name_(std::move(name)) {
-    if (LabelCache::env_enabled())
-      cache_ = std::make_unique<LabelCache>(&hdt_.level0());
-  }
+  NbDc(Vertex n, NbLockMode mode, std::string name, bool sampling = true,
+       bool label_cache = false)
+      : hdt_(n, mode, sampling, label_cache), name_(std::move(name)) {}
 
   bool add_edge(Vertex u, Vertex v) override { return hdt_.add_edge(u, v); }
   bool remove_edge(Vertex u, Vertex v) override {
     return hdt_.remove_edge(u, v);
   }
-  bool connected(Vertex u, Vertex v) override {
-    return cache_ ? cache_->connected(u, v) : hdt_.connected(u, v);
-  }
+  bool connected(Vertex u, Vertex v) override { return hdt_.connected(u, v); }
 
   /// Value queries run on the lock-free read path — the NB family's whole
   /// point is that queries never block, and size/representative are
@@ -206,56 +202,24 @@ class NbDc final : public DynamicConnectivity {
   /// hit the O(1) published labels first and fall back to the same
   /// lock-free walk.
   uint64_t component_size(Vertex u) override {
-    return cache_ ? cache_->component_size(u) : hdt_.component_size(u);
+    return hdt_.component_size(u);
   }
-  Vertex representative(Vertex u) override {
-    return cache_ ? cache_->representative(u) : hdt_.representative(u);
-  }
+  Vertex representative(Vertex u) override { return hdt_.representative(u); }
 
-  /// Cache-backed consistent snapshot; base per-vertex scan when the cache
-  /// is absent or concurrent churn defeats the epoch validation.
-  ComponentsSnapshot components() override {
-    if (cache_ != nullptr) {
-      ComponentsSnapshot s;
-      if (cache_->snapshot_labels(s.labels)) {
-        s.consistent = true;
-        return s;
-      }
-    }
-    return DynamicConnectivity::components();
-  }
+  ComponentsSnapshot components() override { return hdt_.components(*this); }
 
   /// Batched path: every operation is already lock-free or fine-grained, so
   /// there is no lock to amortize — the batch runs straight against the
-  /// engine (no per-op virtual dispatch) and stays fully concurrent with
-  /// other threads' ops and batches (not atomic as a whole).
+  /// engine and stays fully concurrent with other threads' ops and batches
+  /// (not atomic as a whole).
   BatchResult apply_batch(std::span<const Op> ops) override {
     BatchResult r;
     r.values.resize(ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
       const Op& op = ops[i];
-      uint64_t value = 0;
-      switch (op.kind) {
-        case OpKind::kAdd:
-          value = hdt_.add_edge(op.u, op.v) ? 1 : 0;
-          break;
-        case OpKind::kRemove:
-          value = hdt_.remove_edge(op.u, op.v) ? 1 : 0;
-          break;
-        case OpKind::kConnected:
-          value = cache_ ? (cache_->connected(op.u, op.v) ? 1 : 0)
-                         : (hdt_.connected(op.u, op.v) ? 1 : 0);
-          break;
-        case OpKind::kComponentSize:
-          value = cache_ ? cache_->component_size(op.u)
-                         : hdt_.component_size(op.u);
-          break;
-        case OpKind::kRepresentative:
-          value = cache_ ? cache_->representative(op.u)
-                         : hdt_.representative(op.u);
-          break;
-      }
-      r.set_op(i, op.kind, value);
+      r.set_op(i, op.kind,
+               is_query(op.kind) ? hdt_.exec_query(op)
+                                 : exec_single(*this, op));
     }
     return r;
   }
@@ -266,9 +230,6 @@ class NbDc final : public DynamicConnectivity {
  private:
   NbHdt hdt_;
   std::string name_;
-  /// Declared after hdt_: destroyed first, detaching from the level-0
-  /// forest before it dies.
-  std::unique_ptr<LabelCache> cache_;
 };
 
 }  // namespace condyn

@@ -105,11 +105,13 @@ TEST(ComponentsSnapshot, MatchesTheDsuOracleOnEveryVariant) {
           << v.name << " vertex " << x;
     }
     EXPECT_EQ(snap.num_components(), dsu.num_components()) << v.name;
-    if (v.caps.label_cache && LabelCache::env_enabled()) {
-      // At quiescence the cache path repairs every miss in place and the
-      // final stamp check passes: the snapshot is the published epoch.
-      EXPECT_TRUE(snap.consistent) << v.name;
-    }
+    // At quiescence the cache path repairs every miss in place and the
+    // final stamp check passes: the snapshot is the published epoch. A
+    // variant without the cap (or any variant under DC_LABEL_CACHE=0) has
+    // no cache to publish from and returns the per-vertex scan.
+    EXPECT_EQ(snap.consistent,
+              v.caps.label_cache && LabelCache::env_enabled())
+        << v.name;
   }
 }
 
@@ -205,8 +207,9 @@ TEST(LabelCacheConcurrent, CachedReadsMatchTheOracleUnderRacingInvalidation) {
 }
 
 TEST(LabelCacheConcurrent, BatchedReadsThroughTheCacheStayExact) {
-  // The pure-read batch exemption routes query batches through
-  // LabelCache::exec_query — same oracle discipline, batched submission.
+  // The pure-read batch exemption routes query batches through the
+  // engine's cache-aware HdtLevels::exec_query — same oracle discipline,
+  // batched submission.
   const Vertex kRegion = 16;
   const unsigned kWorkers = 3;
   for (int id : cache_variant_ids()) {
@@ -260,6 +263,29 @@ TEST(LabelCacheConcurrent, BatchedReadsThroughTheCacheStayExact) {
       EXPECT_TRUE(errors[w].empty()) << "variant " << id << " worker " << w
                                      << ": " << errors[w].front();
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The engines' own probes read F_0, not the cache
+// ---------------------------------------------------------------------------
+
+TEST(LabelCacheProbes, UpdatesOnANeverReadComponentTouchNoLabel) {
+  // Both engines ask F_0 "already connected?" on every add to pick the
+  // non-spanning path. That probe must not go through the cache: a hit or
+  // miss would be counted as a read, and a miss would publish (and so warm)
+  // a component no client ever asked about.
+  const Vertex n = 32;
+  for (int id : cache_variant_ids()) {
+    auto dc = make_variant(id, n);
+    op_stats::reset_local();
+    for (Vertex x = 0; x + 1 < n; ++x) ASSERT_TRUE(dc->add_edge(x, x + 1));
+    for (Vertex x = 0; x + 2 < n; ++x) ASSERT_TRUE(dc->add_edge(x, x + 2));
+    const op_stats::Counters& st = op_stats::local();
+    EXPECT_EQ(st.nonspanning_additions, n - 2) << "variant " << id;
+    EXPECT_EQ(st.label_hits, 0u) << "variant " << id;
+    EXPECT_EQ(st.label_misses, 0u) << "variant " << id;
+    EXPECT_EQ(st.label_publishes, 0u) << "variant " << id;
   }
 }
 
